@@ -101,6 +101,32 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return float(10.0 * np.log10(255.0**2 / mse))
 
 
+def gray_pool_u8(pixels: np.ndarray, size: int) -> np.ndarray:
+    """uint8 HxWx3 (H, W >= size) -> (size, size) C-contiguous float32
+    grey mean pool over the nearest-multiple crop: each cell is the
+    mean of its block's R, G and B values.
+
+    The block sums are exact int32 sums, read once off the uint8 array
+    (row blocks first, then column blocks), divided in float32.  This
+    equals ``mean(axis=(1, 3, 4), dtype=float32)`` over the
+    ``(size, bh, size, bw, 3)`` view bit for bit while every block sum
+    stays below 2**24, where float32 adds integers exactly: blocks of
+    bh * bw <= 21,931 pixels (255 * 3 * 21,931 < 2**24), i.e. images of
+    up to 1,191 px a side at size 8 and 9,535 px at size 64.  The
+    crawl's images are at most 320 px a side."""
+    h, w = pixels.shape[:2]
+    bh, bw = h // size, w // size
+    rows = pixels[: size * bh].reshape(size, bh, w * 3).sum(axis=1, dtype=np.int32)
+    sums = rows[:, : size * bw * 3].reshape(size, size, bw * 3).sum(axis=2)
+    return sums.astype(np.float32) / np.float32(bh * bw * 3)
+
+
+def bits_to_int64(bits: np.ndarray) -> int:
+    """64 booleans, most significant first -> signed int64 (two's
+    complement), the Arrow ``int64`` form of a 64-bit hash."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big", signed=True)
+
+
 def phash64(pixels: np.ndarray) -> int:
     """64-bit perceptual hash (average-hash on an 8x8 mean-pooled
     grayscale), signed int64 for the Arrow column (input_hint:
@@ -113,21 +139,10 @@ def phash64(pixels: np.ndarray) -> int:
     grayscale copy made this bandwidth-bound at high core counts.
     """
     h, w = pixels.shape[:2]
-    th, tw = (h // 8) * 8, (w // 8) * 8
-    if th == 0 or tw == 0:  # degenerate tiny image: pad by repetition
+    if h < 8 or w < 8:  # degenerate tiny image: pad by repetition
         pixels = np.tile(pixels, (8, 8, 1))[: 8 * max(1, h), : 8 * max(1, w)]
-        h, w = pixels.shape[:2]
-        th, tw = (h // 8) * 8, (w // 8) * 8
-    g = (
-        pixels[:th, :tw]
-        .reshape(8, th // 8, 8, tw // 8, 3)
-        .mean(axis=(1, 3, 4), dtype=np.float32)
-    )
-    bits = (g > g.mean()).flatten()
-    val = 0
-    for b in bits:
-        val = (val << 1) | int(b)
-    return val - (1 << 64) if val >= 1 << 63 else val
+    g = gray_pool_u8(pixels, 8)
+    return bits_to_int64(g > g.mean())
 
 
 def hamming64(a: int, b: int) -> int:

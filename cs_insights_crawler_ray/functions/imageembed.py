@@ -5,10 +5,10 @@ A tiny 3-layer convnet with FIXED seeded weights, implemented as
 im2col + matmul in pure numpy.  It is the clearly-marked deterministic
 stand-in for a real vision encoder (the container ships no torch/PIL;
 build contract: stub the model, keep the Ray-side plumbing real): the
-compute profile (~10ms/image on CPU), the load-once-per-worker
-pattern, and the output contract (unit-norm float32 embedding usable
-by the ANN / near-dup operators) all match what a real model would
-need.
+load-once-per-worker pattern and the output contract (unit-norm
+float32 embedding usable by the ANN / near-dup operators) match what
+a real model would need.  It costs about 1-2 ms per 192-320 px image
+on one core of a shared Xeon VM, most of it the conv stack.
 
 Weights are Glorot-ish draws from PCG64(seed) — inference is
 bit-deterministic across processes.
@@ -58,19 +58,32 @@ class TinyConvEmbedder:
 
     def embed(self, pixels: np.ndarray) -> np.ndarray:
         """HxWx3 uint8 -> (EMBED_DIM,) unit-norm float32."""
-        x = pixels.astype(np.float32) / 255.0
-        f = max(1, int(np.ceil(max(x.shape[:2]) / _MAX_SIDE)))
+        f = max(1, -(-max(pixels.shape[:2]) // _MAX_SIDE))
         if f > 1:  # antialias resize: f x f mean pooling
-            h, w = (x.shape[0] // f) * f, (x.shape[1] // f) * f
+            h, w = (pixels.shape[0] // f) * f, (pixels.shape[1] // f) * f
             # clamp so pooling never outputs a ZERO dimension (a
             # 20x200 image pools to 0x66 at f=3)
             h, w = max(h, f), max(w, f)
-            x = np.pad(
-                x,
-                ((0, max(0, h - x.shape[0])), (0, max(0, w - x.shape[1])), (0, 0)),
-                mode="edge",
-            )[:h, :w]
-            x = x.reshape(h // f, f, w // f, f, 3).mean(axis=(1, 3))
+            ph, pw = max(0, h - pixels.shape[0]), max(0, w - pixels.shape[1])
+            if ph or pw:
+                pixels = np.pad(pixels, ((0, ph), (0, pw), (0, 0)), mode="edge")
+            # f*f in-order slice adds: the same float32 additions, in the
+            # same (row, column) order, as numpy's f x f mean over the
+            # interleaved image, so the bits match; that mean runs a
+            # 3-wide inner loop and is ~10x slower.  Channel-planar so
+            # each add's inner loop runs along a row.
+            xp = (pixels[:h, :w].transpose(2, 0, 1).astype(np.float32) / 255.0).reshape(
+                3, h // f, f, w // f, f
+            )
+            x = xp[:, :, 0, :, 0].copy()
+            for j in range(f):
+                for k in range(f):
+                    if j or k:
+                        x += xp[:, :, j, :, k]
+            x /= np.float32(f * f)
+            x = x.transpose(1, 2, 0)
+        else:
+            x = pixels.astype(np.float32) / 255.0
         if min(x.shape[:2]) < _MIN_SIDE:
             # deterministic edge-pad AFTER the pooling resize (the
             # resize divides by f, so a pre-pad could be squashed back

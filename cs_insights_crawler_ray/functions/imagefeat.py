@@ -5,14 +5,15 @@ frame-sample as actor-pool map_batches stages").
 All pure numpy, deterministic, library-free (no PIL/torch in the
 sandbox): mean-pool resize pyramid, spectral (FFT-magnitude) hash —
 the public DCT-pHash construction with FFT standing in for DCT — and
-per-channel gradient-energy stats.  This is the compute profile of a
-real image-ingest pipeline (~10ms/row), which is what the fetch wave's
-CPU scaling is measured against in bench.py.
+per-channel gradient-energy stats.  It costs about 0.5-1 ms per
+192-320 px image on one core of a shared Xeon VM.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .imagecodec import bits_to_int64, gray_pool_u8
 
 PYRAMID = (64, 32, 16)
 
@@ -34,11 +35,7 @@ def spectral_hash(gray: np.ndarray, size: int = 32) -> int:
     g = resize_pool(gray.astype(np.float64), size)
     spec = np.abs(np.fft.fft2(g))[:8, :8]
     med = np.median(spec[1:, 1:])  # skip DC
-    bits = (spec > med).flatten()
-    val = 0
-    for b in bits[:64]:
-        val = (val << 1) | int(b)
-    return val - (1 << 64) if val >= 1 << 63 else val
+    return bits_to_int64(spec > med)
 
 
 def extract_features(pixels: np.ndarray) -> dict:
@@ -62,17 +59,11 @@ def extract_features(pixels: np.ndarray) -> dict:
 
 def resize_pool_u8(pixels: np.ndarray, size: int) -> np.ndarray:
     """uint8 HxWx3 -> (size, size) float32 pooled grayscale in one
-    pass (tile-pad degenerate small images)."""
+    pass (tile-pad degenerate small images); see ``gray_pool_u8``."""
     h, w = pixels.shape[:2]
     if h < size or w < size:
         pixels = np.tile(pixels, (size // h + 1, size // w + 1, 1))
-        h, w = pixels.shape[:2]
-    th, tw = (h // size) * size, (w // size) * size
-    return (
-        pixels[:th, :tw]
-        .reshape(size, th // size, size, tw // size, 3)
-        .mean(axis=(1, 3, 4), dtype=np.float32)
-    )
+    return gray_pool_u8(pixels, size)
 
 
 FEATURE_COLUMNS = [

@@ -698,6 +698,11 @@ def _ivf_knn_centroids(sf_dir: str, n_centroids: int) -> np.ndarray:
         f"{sf_dir}/embeddings.parquet", columns=["vec_id"]
     )["vec_id"].to_numpy()
     n = len(ids_all)
+    if n == 0:
+        # no vectors, no cells: the filtered centroid read would be
+        # empty and stack_embeddings_arrow raises on it (d cannot be
+        # read off an empty list column, so the result is (0, 0))
+        return np.zeros((0, 0), np.int64)
     c = max(1, min(n_centroids, n // 4))
     cent_ids = np.sort(ids_all)[:: max(1, n // c)][:c]
     cent_tbl = pq.read_table(

@@ -16,7 +16,7 @@ wiring):
                            among gate survivors)
     → near-dup drop       (q38 groups at trigram-jaccard ≥ 0.7: keep
                            representatives + singletons, q70's rule)
-    → decontaminate       (q61: drop eval docs (doc_id % 97 == 0) and
+    → decontaminate       (q61: drop eval docs (doc_id % CUR_EVAL_MOD == 0) and
                            any train doc sharing ≥ CUR_DECON_MIN
                            distinct trigrams with the eval set)
     → token-budget select (q60: stopword-ppm quality rank, running
@@ -64,6 +64,7 @@ from ..functions.broadcast import bget
 from ..functions.text import _LANG_PROFILES, _WORD_RE as _QRE
 from ..sources.sinks import clear_partition
 from .dedup import (
+    _SHINGLE_N,
     _SPLIT_BROADCAST_LIMIT,
     _join_nparts,
     _sorted_lookup,
@@ -84,6 +85,7 @@ CUR_NEAR_T = 0.7       # q38/q70's trigram-jaccard group threshold
 CUR_DECON_MIN = 3      # drop train docs sharing >= this many eval grams
 CUR_BUDGET_FRAC = 4    # keep the top-quality quarter of survivor tokens
 CUR_SHARDS = 8         # export fan-out
+CUR_EVAL_MOD = 97      # eval docs are doc_id % CUR_EVAL_MOD == 0
 
 
 def _gate_and_score(b: pd.DataFrame) -> pd.DataFrame:
@@ -146,7 +148,7 @@ def _dropset_tables(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
         lambda b: b.loc[b["doc_id"] != b["group_id"], ["doc_id"]],
         batch_format="pandas",
     )
-    flagged = q61_decontaminate(sf_dir).map_batches(
+    flagged = q61_decontaminate(sf_dir, CUR_EVAL_MOD).map_batches(
         lambda b: b.loc[b["n_shared"] >= CUR_DECON_MIN, ["doc_id"]],
         batch_format="pandas",
     )
@@ -196,13 +198,20 @@ def _anti_filter(
 def _export_config(sf_dir: str) -> dict:
     """The determinism fingerprint of a q105 export: same config ⇒
     byte-identical output, so a matching committed manifest makes a
-    re-run skippable (the resumable-output contract)."""
+    re-run skippable (the resumable-output contract).  It holds every
+    constant the export's bytes depend on, so changing one invalidates
+    old exports without a manual version bump."""
     return {
         "sf_dir": str(sf_dir),
         "near_t": CUR_NEAR_T,
         "decon_min": CUR_DECON_MIN,
         "budget_frac": CUR_BUDGET_FRAC,
         "shards": CUR_SHARDS,
+        "eval_mod": CUR_EVAL_MOD,
+        "funnel_len": [FUNNEL_LEN_LO, FUNNEL_LEN_HI],
+        "funnel_div_ppm": FUNNEL_DIV_PPM,
+        "shingle_n": _SHINGLE_N,
+        "stoplist": sorted(_LANG_PROFILES["en"]),
         "version": 1,
     }
 
@@ -252,10 +261,15 @@ def q105_curation_pipeline(
             m = None
         if m and m.get("config") == _export_config(sf_dir):
             # a committed export of the identical deterministic config:
-            # zero recompute, counters re-derived from the shards (so a
-            # corrupted/missing shard file still fails loudly here)
-            return _counters_from(out_root)
-        # config drift or unreadable manifest: fall through and rebuild
+            # zero recompute, counters re-derived from the shards (a
+            # corrupted shard file fails loudly here) and checked
+            # against the committed totals: a deleted shard=K directory
+            # reads back fine, just short
+            got = _counters_from(out_root)
+            totals = (sum(got["n_docs"].to_pylist()), sum(got["sum_tokens"].to_pylist()))
+            if totals == (m.get("n_docs"), m.get("sum_tokens")):
+                return got
+        # config drift, unreadable manifest or missing shards: rebuild
     clear_partition(out_root)
 
     docs = rd.read_parquet(
@@ -283,7 +297,7 @@ def q105_curation_pipeline(
     kept = _anti_filter(kept, near_drop, broadcast_limit)
     kept = _anti_filter(kept, flagged, broadcast_limit)
     kept = kept.map_batches(
-        lambda b: b[b["doc_id"].to_numpy(np.int64) % 97 != 0],
+        lambda b: b[b["doc_id"].to_numpy(np.int64) % CUR_EVAL_MOD != 0],
         batch_format="pandas",
     )
 

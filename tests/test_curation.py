@@ -131,3 +131,33 @@ def test_q105_resume_skips_recompute(ray_session, tmp_path):
     # resume=False always rebuilds even with a valid manifest
     d = q105_curation_pipeline(str(alt), out_root=out)
     assert d.to_pydict() == a.to_pydict()
+
+
+def test_q105_resume_rebuilds_after_a_shard_is_deleted(ray_session, tmp_path):
+    """A deleted shard=K directory reads back as a shorter export, not
+    an error: resume must compare the recomputed totals with the
+    manifest's and rebuild, never return partial counters."""
+    import os
+    import shutil
+
+    out = str(tmp_path / "r")
+    a = q105_curation_pipeline(SF, out_root=out)
+    shard_dirs = sorted(glob.glob(f"{out}/shard=*"))
+    assert len(shard_dirs) > 1
+    shutil.rmtree(shard_dirs[0])
+    b = q105_curation_pipeline(SF, out_root=out, resume=True)
+    assert b.to_pydict() == a.to_pydict()
+    assert os.path.isdir(shard_dirs[0])  # rebuilt
+
+
+def test_q105_export_config_covers_funnel_and_shingle_constants(monkeypatch):
+    """Changing a gate or shingle constant changes the export
+    fingerprint, so resume rebuilds instead of serving old counters."""
+    from cs_insights_crawler_ray.pipelines import curation
+
+    base = curation._export_config("sf")
+    for name in ("FUNNEL_LEN_LO", "FUNNEL_LEN_HI", "FUNNEL_DIV_PPM", "_SHINGLE_N", "CUR_EVAL_MOD"):
+        with monkeypatch.context() as mp:
+            mp.setattr(curation, name, getattr(curation, name) + 1)
+            assert curation._export_config("sf") != base, name
+    assert curation._export_config("sf") == base

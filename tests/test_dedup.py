@@ -777,3 +777,20 @@ def test_ivf_knn_graph_block_layout_invariant(ray_session, tmp_path):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(outs[1], rerun)
+
+
+def test_ivf_knn_graph_empty_table(ray_session, tmp_path):
+    """q94b over a 0-row embeddings.parquet: no centroids and an empty
+    graph, instead of stack_embeddings_arrow raising on the empty
+    centroid read."""
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array([], pa.int64()),
+                "embedding": pa.array([], pa.list_(pa.float32())),
+            }
+        ),
+        tmp_path / "embeddings.parquet",
+    )
+    assert ann._ivf_knn_centroids(str(tmp_path), ann.IVF_KNN_CENTROIDS).shape[0] == 0
+    assert ann.q94b_ivf_knn_graph(str(tmp_path), k=4).count() == 0

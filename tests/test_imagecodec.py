@@ -121,3 +121,173 @@ def test_embedder_skinny_and_large_rectangles():
         v = m.embed(px)
         assert np.isfinite(v).all(), (h, w)
         assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-4, (h, w)
+
+
+# ---- bit-identity of the image reductions ------------------------------
+# The formulas below are the original numpy-reduce forms of the three
+# full-resolution reductions, frozen here as the reference: the kernels
+# were rewritten for speed and must return the same bits.
+
+
+def _ref_gray_pool(pixels, size):
+    h, w = pixels.shape[:2]
+    th, tw = (h // size) * size, (w // size) * size
+    return (
+        pixels[:th, :tw]
+        .reshape(size, th // size, size, tw // size, 3)
+        .mean(axis=(1, 3, 4), dtype=np.float32)
+    )
+
+
+def _ref_bits(bits):
+    val = 0
+    for b in bits[:64]:
+        val = (val << 1) | int(b)
+    return val - (1 << 64) if val >= 1 << 63 else val
+
+
+def _ref_spectral_hash(gray, size):
+    from cs_insights_crawler_ray.functions.imagefeat import resize_pool
+
+    spec = np.abs(np.fft.fft2(resize_pool(gray.astype(np.float64), size)))[:8, :8]
+    return _ref_bits((spec > np.median(spec[1:, 1:])).flatten())
+
+
+def _ref_phash64(pixels):
+    h, w = pixels.shape[:2]
+    if h < 8 or w < 8:
+        pixels = np.tile(pixels, (8, 8, 1))[: 8 * max(1, h), : 8 * max(1, w)]
+    g = _ref_gray_pool(pixels, 8)
+    return _ref_bits((g > g.mean()).flatten())
+
+
+def _ref_resize_pool_u8(pixels, size):
+    h, w = pixels.shape[:2]
+    if h < size or w < size:
+        pixels = np.tile(pixels, (size // h + 1, size // w + 1, 1))
+    return _ref_gray_pool(pixels, size)
+
+
+def _ref_embed(model, pixels):
+    from cs_insights_crawler_ray.functions.imageembed import _MAX_SIDE, _MIN_SIDE, _STRIDE
+
+    x = pixels.astype(np.float32) / 255.0
+    f = max(1, int(np.ceil(max(x.shape[:2]) / _MAX_SIDE)))
+    if f > 1:
+        h, w = (x.shape[0] // f) * f, (x.shape[1] // f) * f
+        h, w = max(h, f), max(w, f)
+        x = np.pad(
+            x,
+            ((0, max(0, h - x.shape[0])), (0, max(0, w - x.shape[1])), (0, 0)),
+            mode="edge",
+        )[:h, :w]
+        x = x.reshape(h // f, f, w // f, f, 3).mean(axis=(1, 3))
+    if min(x.shape[:2]) < _MIN_SIDE:
+        ph = max(0, _MIN_SIDE - x.shape[0])
+        pw = max(0, _MIN_SIDE - x.shape[1])
+        x = np.pad(x, ((0, ph), (0, pw), (0, 0)), mode="edge")
+    for k in model.kernels:
+        patches, oh, ow = model._im2col(np.ascontiguousarray(x), _STRIDE)
+        y = patches @ k.T
+        np.maximum(y, 0.0, out=y)
+        x = y.reshape(oh, ow, k.shape[0])
+    v = x.mean(axis=(0, 1))
+    n = float(np.linalg.norm(v))
+    return (v / n if n > 1e-12 else v).astype(np.float32)
+
+
+_EDGE_SHAPES = [
+    (1, 1), (1, 500), (500, 1), (2, 200), (20, 200), (7, 7), (15, 15),
+    (96, 96), (97, 97), (320, 320), (1000, 900),
+]
+
+
+def _random_shapes(n=200, max_side=400, seed=7):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [tuple(int(v) for v in rng.integers(1, max_side + 1, size=2)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("shapes", [_EDGE_SHAPES, _random_shapes()], ids=["edges", "random200"])
+def test_image_reductions_bit_identical_to_reference(shapes):
+    from cs_insights_crawler_ray.functions.imageembed import get_model
+    from cs_insights_crawler_ray.functions.imagefeat import resize_pool_u8, spectral_hash
+
+    m = get_model()
+    for i, (h, w) in enumerate(shapes):
+        px = _img(1000 + i, h, w)
+        assert phash64(px) == _ref_phash64(px), (h, w)
+        gray = resize_pool_u8(px, 64)
+        ref = _ref_resize_pool_u8(px, 64)
+        assert gray.dtype == ref.dtype and gray.flags.c_contiguous, (h, w)
+        assert np.array_equal(gray.view(np.uint32), ref.view(np.uint32)), (h, w)
+        for s in (64, 32, 16):
+            assert spectral_hash(gray, s) == _ref_spectral_hash(gray, s), (h, w, s)
+        got, want = m.embed(px), _ref_embed(m, px)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (h, w)
+
+
+def test_gray_pool_bit_identical_at_domain_edge():
+    """gray_pool_u8's stated domain edge: 1,191 px at size 8 puts
+    148 x 148 pixels of up to 255 in a block, a sum just below 2**24."""
+    from cs_insights_crawler_ray.functions.imagecodec import gray_pool_u8
+
+    rng = np.random.Generator(np.random.PCG64(3))
+    for px in (
+        np.full((1191, 1191, 3), 255, np.uint8),
+        rng.integers(200, 256, size=(1191, 1191, 3), dtype=np.uint8),
+    ):
+        got, want = gray_pool_u8(px, 8), _ref_gray_pool(px, 8)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert phash64(px) == _ref_phash64(px)
+
+
+def test_embedding_identical_alone_and_in_block():
+    """An embedding is a pure function of its image: the same bits
+    whether the image is embedded alone or as one row of a 256-row
+    decode_verify_task block."""
+    import pyarrow as pa
+
+    from cs_insights_crawler_ray.fixtures.content_store import ContentStoreConfig, seed_urls
+    from cs_insights_crawler_ray.functions.imageembed import get_model
+    from cs_insights_crawler_ray.functions.urls import url_sha1
+    from cs_insights_crawler_ray.stages.decode import decode_verify_task
+    from cs_insights_crawler_ray.stages.fetch import fetch_task
+
+    store = ContentStoreConfig(seed=11, n_hosts=32, img_min=8, img_max=200)
+    urls = seed_urls(store, 256)
+    assert len(urls) == 256
+    batch = pa.table({
+        "url_canon": pa.array(urls, pa.string()),
+        "url_sha1": pa.array([url_sha1(u) for u in urls], pa.binary()),
+    })
+    fetched = fetch_task(batch, store)
+    block = decode_verify_task(fetched, store, extract=True)
+    m = get_model()
+    embs = block["embedding"].to_pylist()
+    n = 0
+    for blob, st, emb in zip(fetched["bytes"].to_pylist(), fetched["status"].to_pylist(), embs):
+        if st != "200":
+            continue
+        pixels, _ = decode_image(blob)
+        alone = m.embed(pixels)
+        assert np.array_equal(np.asarray(emb, np.float32).view(np.uint32), alone.view(np.uint32))
+        n += 1
+    assert n >= 200
+
+
+def test_toy_features_digest_matches_benchmark_record(monkeypatch):
+    """The feature and embedding bits of the benchmark's toy multimodal
+    crawl, recomputed through the kernels without Ray, equal the digest
+    recorded in perfbench/expected.json: kernel drift fails here before
+    it fails the benchmark's output check."""
+    import json
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import checks
+    import workloads
+
+    want = json.loads((bench / "expected.json").read_text())
+    want = want["workloads"]["crawl-multimodal"]["toy"]["features_digest"]
+    assert checks.derive_features_digest(workloads.multimodal_config(42, toy=True)) == want
