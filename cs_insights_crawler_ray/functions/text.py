@@ -68,6 +68,18 @@ def _floor6(s) -> pd.Series:
     return pd.Series(np.floor(np.asarray(s, dtype=np.float64) * 1e6) / 1e6)
 
 
+def stopword_hits(words: pd.Series, stop: frozenset) -> np.ndarray:
+    """Per-row count of words in ``stop`` over a Series of word lists:
+    one positional explode, one hashed isin, one bincount — no per-row
+    Python loop.  A row with no words counts 0 (its explode NaN never
+    matches)."""
+    flat = words.reset_index(drop=True).explode()
+    hit = flat.isin(stop).to_numpy()
+    return np.bincount(
+        flat.index.to_numpy(np.int64)[hit], minlength=len(words)
+    ).astype(np.int64)
+
+
 def quality_scores(texts: pd.Series) -> pd.DataFrame:
     """Heuristic doc-quality features: length, punctuation ratio,
     stopword(en) ratio, mean word length.  Ratios are floor-truncated
@@ -75,8 +87,7 @@ def quality_scores(texts: pd.Series) -> pd.DataFrame:
     n_chars = texts.str.len().astype("int64")
     words = texts.str.lower().str.findall(_WORD_RE)
     n_words = words.str.len().clip(lower=1)
-    stop = _LANG_PROFILES["en"]
-    stop_ratio = words.map(lambda ws: sum(w in stop for w in ws)) / n_words
+    stop_ratio = stopword_hits(words, _LANG_PROFILES["en"]) / n_words
     punct = texts.str.count(rf"[^0-9A-Za-z_{_ASCII_SPACE}]").astype("int64")
     mean_wlen = words.map(lambda ws: float(np.mean([len(w) for w in ws])) if ws else 0.0)
     return pd.DataFrame(

@@ -127,10 +127,14 @@ def _merge_topk(partials: rd.Dataset, qids, with_cos: bool) -> pa.Table:
                     math.floor(abs(cos) * 1e6 + 0.5) / 1e6, cos
                 )
             rows.append(r)
+    return pa.Table.from_pylist(rows, schema=_topk_schema(with_cos))
+
+
+def _topk_schema(with_cos: bool) -> pa.Schema:
     fields = [("qid", pa.int64()), ("vec_id", pa.int64())]
     if with_cos:
         fields.append(("cos", pa.float64()))
-    return pa.Table.from_pylist(rows, schema=pa.schema(fields))
+    return pa.schema(fields)
 
 
 class _LSHScorer:
@@ -228,11 +232,15 @@ def q41_ivf_ann(sf_dir: str, n_centroids: int = 64, nprobe: int = 8) -> pa.Table
     (rows-only for the driver: recall < 1 by design)."""
     import pyarrow.parquet as pq
 
-    qids, qmat = _load_queries(sf_dir)
     ids_all = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])[
         "vec_id"
     ].to_numpy()
     n = len(ids_all)
+    if n == 0:
+        # no vectors, no queries: the empty top-k table (the
+        # _ivf_knn_centroids guard — stacking an empty read raises)
+        return _topk_schema(with_cos=True).empty_table()
+    qids, qmat = _load_queries(sf_dir)
     c = max(1, min(n_centroids, n // 4))
     cent_ids = np.sort(ids_all)[:: max(1, n // c)][:c]
     cent_tbl = pq.read_table(

@@ -61,7 +61,7 @@ import ray
 import ray.data as rd
 
 from ..functions.broadcast import bget
-from ..functions.text import _LANG_PROFILES, _WORD_RE as _QRE
+from ..functions.text import _LANG_PROFILES, _WORD_RE as _QRE, stopword_hits
 from ..sources.sinks import clear_partition
 from .dedup import (
     _SHINGLE_N,
@@ -114,10 +114,9 @@ def _gate_and_score(b: pd.DataFrame) -> pd.DataFrame:
                 "_part": pd.Series([], dtype=np.int32),
             }
         )
-    stop = _LANG_PROFILES["en"]
     words = s["text"].str.lower().str.findall(_QRE)
     n_words = words.str.len().clip(lower=1).to_numpy()
-    hits = words.map(lambda ws: sum(w in stop for w in ws)).to_numpy()
+    hits = stopword_hits(words, _LANG_PROFILES["en"])
     out = pd.DataFrame(
         {
             "h": [hashlib.md5(t.encode("utf-8")).hexdigest() for t in s["text"]],
@@ -282,18 +281,9 @@ def q105_curation_pipeline(
         .groupby("_part")
         .map_groups(_exact_winners, batch_format="pandas")
     )
-    # near-dup drop + decontamination (+ eval-holdout exclusion).
-    # The two drop-set pipelines are independent — materialize them
-    # CONCURRENTLY from two driver threads (each owns its own
-    # streaming executor) so q38's group build and q61's gram scan
-    # overlap instead of serializing (measured ~1.5 s at sf0.1).
+    # near-dup drop + decontamination (+ eval-holdout exclusion); each
+    # drop set materializes inside its _anti_filter, one after the other
     near_drop, flagged = _dropset_tables(sf_dir)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(2) as ex:
-        fn = ex.submit(near_drop.materialize)
-        ff = ex.submit(flagged.materialize)
-        near_drop, flagged = fn.result(), ff.result()
     kept = _anti_filter(kept, near_drop, broadcast_limit)
     kept = _anti_filter(kept, flagged, broadcast_limit)
     kept = kept.map_batches(

@@ -22,7 +22,10 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
+
+from ..functions.broadcast import bget
 
 # MinHash parameters (public construction: universal hashing
 # h_i(x) = (a_i x + b_i) mod p over 32-bit shingle hashes).
@@ -117,16 +120,15 @@ def _batch_grams_core(
     gram-hash array + per-doc gram counts (every doc >= 1 gram).
 
     Token hashing touches Python only for the UNIQUE tokens of the
-    batch (np.unique + one checksum per unique token); the rolling
-    polynomial runs once over the flat token-hash array and is sliced
-    per doc (boundary-crossing windows discarded), so the hot path is
-    numpy end to end."""
+    batch (hashed pd.factorize, not a string-sorting np.unique, plus
+    one checksum per unique token); the rolling polynomial runs once
+    over the flat token-hash array and is sliced per doc
+    (boundary-crossing windows discarded), so the hot path is numpy
+    end to end."""
     tok_lists = [t.split() for t in texts]
     flat_tokens: list[str] = list(itertools.chain.from_iterable(tok_lists))
     if flat_tokens:
-        uniq, inv = np.unique(
-            np.asarray(flat_tokens, dtype=object), return_inverse=True
-        )
+        inv, uniq = pd.factorize(np.asarray(flat_tokens, dtype=object))
         th_flat = token_hash_fn(uniq)[inv]
     else:
         th_flat = np.zeros(0, dtype=np.uint64)
@@ -176,28 +178,57 @@ def ngram_jaccard(a: str, b: str, n: int = _SHINGLE_N) -> float:
     return len(sa & sb) / max(1, len(sa | sb))
 
 
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _gram_table(ids, texts) -> tuple:
+    """Shingle each doc ONCE into a probe table (for _table_jaccards,
+    _df_partials, _prefix_postings): (sorted ids, per-doc distinct-gram
+    sizes, per-doc starts, keys).  keys is one sorted uint64 array of
+    ``doc_idx << 32 | gram`` over each doc's DISTINCT grams — doc_idx
+    is the dense index into the sorted ids (not the doc_id, which may
+    exceed 32 bits), and every gram fits the low half because _fold32
+    keeps grams < 2^32.  ids must be distinct."""
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    grams, counts = _batch_gram_hashes([texts[i] for i in order])
+    doc = np.repeat(np.arange(len(ids), dtype=np.uint64), counts)
+    keys = np.unique((doc << np.uint64(32)) | grams)
+    sizes = np.bincount((keys >> np.uint64(32)).astype(np.int64), minlength=len(ids))
+    starts = np.zeros(len(ids), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return ids[order], sizes, starts, keys
+
+
+def _table_jaccards(table: tuple, a, b) -> np.ndarray:
+    """Rounded trigram jaccard of every pair (a[i], b[i]) against a
+    _gram_table, in one numpy pass: expand the smaller side's grams,
+    probe them under the other side's doc index with one searchsorted
+    over the sorted keys, count hits per pair with bincount.  The final
+    floor(x*1e6 + 0.5)/1e6 is _round6_half_up's IEEE arithmetic, so
+    the result is bit-identical to ngram_jaccard + _round6_half_up
+    (pytest-held)."""
+    ids, sizes, starts, keys = table
+    ia = np.searchsorted(ids, np.asarray(a, dtype=np.int64))
+    ib = np.searchsorted(ids, np.asarray(b, dtype=np.int64))
+    a_small = sizes[ia] <= sizes[ib]
+    small = np.where(a_small, ia, ib)
+    other = np.where(a_small, ib, ia).astype(np.uint64) << np.uint64(32)
+    ns = sizes[small]
+    pair = np.repeat(np.arange(len(ia)), ns)
+    pos = np.arange(len(pair)) + np.repeat(starts[small] - (np.cumsum(ns) - ns), ns)
+    probe = other[pair] | (keys[pos] & _LO32)
+    _, hit = _sorted_lookup(keys, keys, probe)
+    inter = np.bincount(pair[hit], minlength=len(ia))
+    union = sizes[ia] + sizes[ib] - inter
+    return np.floor(inter / np.maximum(1, union) * 1e6 + 0.5) / 1e6
+
+
 def _pair_jaccards(a_ids, b_ids, text_of: dict) -> np.ndarray:
-    """Jaccard for a batch of candidate pairs with each UNIQUE doc
-    shingled once (VERDICT r02 #6: per-pair ngram_jaccard re-tokenized
-    both texts every call — candidate count grows with dup density).
-    Gram sets come from one _batch_gram_hashes pass over the batch's
-    unique docs; per-pair intersections are sorted-array
-    np.intersect1d merges, so no Python-level tokenization remains.
-    Bit-identical to ngram_jaccard + _round6_half_up (pytest-held)."""
+    """_table_jaccards over a table of just the batch's docs (the join
+    path, where each batch carries its own texts)."""
     uniq = list(dict.fromkeys(list(a_ids) + list(b_ids)))
-    grams, counts = _batch_gram_hashes([text_of[i] for i in uniq])
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    gsets = {
-        did: np.unique(grams[starts[k] : starts[k] + counts[k]])
-        for k, did in enumerate(uniq)
-    }
-    out = np.empty(len(a_ids), dtype=np.float64)
-    for i, (x, y) in enumerate(zip(a_ids, b_ids)):
-        sa, sb = gsets[x], gsets[y]
-        inter = np.intersect1d(sa, sb, assume_unique=True).size
-        out[i] = _round6_half_up(inter / max(1, sa.size + sb.size - inter))
-    return out
+    return _table_jaccards(_gram_table(uniq, [text_of[i] for i in uniq]), a_ids, b_ids)
 
 
 class MinHashStage:
@@ -411,6 +442,13 @@ def q17_minhash_dedup(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
     return verify_pairs_adaptive(docs, minhash_lsh_candidates(docs, distinct=False), threshold)
 
 
+@ray.remote
+def _verify_chunk(table: tuple, a, b, threshold: float) -> pd.DataFrame:
+    jac = _table_jaccards(table, a, b)
+    keep = jac >= threshold
+    return pd.DataFrame({"a": a[keep], "b": b[keep], "jaccard": jac[keep]})
+
+
 def verify_pairs_adaptive(
     docs: rd.Dataset, cand: rd.Dataset, threshold: float
 ) -> rd.Dataset | pa.Table:
@@ -419,13 +457,13 @@ def verify_pairs_adaptive(
     text), keeping pairs with jaccard >= threshold.  Shared by the
     MinHash-LSH (q17) and prefix-filter (q68) candidate generators.
 
-    Adaptive: small candidate sets broadcast the candidate texts (one
-    filtered pass over docs, zero shuffles, plain-task verify); large
-    sets pay the (a, b) distinct aggregate plus two hash joins so
-    payloads only ever move for candidates (the 100 TB path)."""
-    import ray
-
-    from ..functions.broadcast import bget
+    Adaptive: small candidate sets collect the candidate texts (one
+    filtered pass over docs, zero shuffles), shingle each candidate
+    doc ONCE into a broadcast _gram_table and score pair chunks in
+    plain _verify_chunk tasks; large sets pay the (a, b) distinct
+    aggregate plus two hash joins so payloads only ever move for
+    candidates (the 100 TB path), each joined batch building its own
+    table (_pair_jaccards).  Both run the one _table_jaccards kernel."""
     from .relational import JOIN_ARGS
 
     cand = cand.materialize()
@@ -460,29 +498,24 @@ def verify_pairs_adaptive(
             batch_format="pyarrow",
         ).iter_batches(batch_format="pandas"):
             texts.update(zip(bt["doc_id"], bt["text"]))
-        text_ref = ray.put(texts)
-
-        @ray.remote
-        def verify_chunk(bt: pd.DataFrame) -> pd.DataFrame:
-            lut = bget(text_ref)
-            jac = _pair_jaccards(bt["a"].tolist(), bt["b"].tolist(), lut)
-            out = pd.DataFrame({"a": bt["a"], "b": bt["b"], "jaccard": jac})
-            return out[out["jaccard"] >= threshold]
+        table_ref = ray.put(_gram_table(list(texts), list(texts.values())))
 
         # the candidate set is bounded (<= BROADCAST_PAIR_LIMIT), so
         # verify in plain Ray tasks over chunks — a Dataset's fixed
         # per-stage cost (~0.3s) dwarfs this work at small pair counts
         n_chunks = max(1, min(32, len(pdf) // 2048 + 1))
-        # explicit iloc boundary slices (np.array_split on a DataFrame
-        # rides the deprecated DataFrame.swapaxes and breaks on
-        # pandas 3.x)
         bounds = (np.arange(n_chunks + 1, dtype=np.int64) * len(pdf)) // n_chunks
-        chunks = ray.get(
-            [
-                verify_chunk.remote(pdf.iloc[bounds[i]: bounds[i + 1]])
-                for i in range(n_chunks)
-            ]
-        )
+        a, b = pdf["a"].to_numpy(), pdf["b"].to_numpy()
+        # at most two chunks in flight per cluster CPU: a deeper queue
+        # runs no sooner, and its backlog makes the raylet start worker
+        # processes, one or two per call, that no chunk ever uses
+        window = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+        refs = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if len(refs) >= window:
+                ray.wait(refs, num_returns=len(refs) - window + 1)
+            refs.append(_verify_chunk.remote(table_ref, a[lo:hi], b[lo:hi], threshold))
+        chunks = ray.get(refs)
         out = pd.concat(chunks, ignore_index=True)
         schema = pa.schema(
             [("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())]
@@ -534,8 +567,6 @@ def _join_nparts() -> int:
     num_partitions=2 serializes the join on two aggregators exactly
     when the data is largest (the q17 round-4 lesson); shared by every
     join in this module so the sizing is tuned in ONE place."""
-    import ray
-
     return max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
 
 
@@ -554,16 +585,11 @@ def _sorted_lookup(
 
 def _df_partials(b: pd.DataFrame) -> pd.DataFrame:
     """Per-block partial document frequencies of the hashed grams:
-    each doc contributes its DISTINCT grams once, then one np.unique
-    over the block counts them.  Combiner for the vocab grouped-sum."""
-    grams, counts = _batch_gram_hashes(b["text"].tolist())
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    per_doc = [
-        np.unique(grams[s : s + c]) for s, c in zip(starts, counts)
-    ]
-    flat = np.concatenate(per_doc) if per_doc else np.zeros(0, dtype=np.uint64)
-    u, n = np.unique(flat, return_counts=True)
+    each doc contributes its DISTINCT grams once (the _gram_table
+    keys), then one np.unique over the block counts them.  Combiner
+    for the vocab grouped-sum."""
+    keys = _gram_table(np.arange(len(b)), b["text"].tolist())[3]
+    u, n = np.unique(keys & _LO32, return_counts=True)
     return pd.DataFrame({"gram": u.astype(np.int64), "n": n.astype(np.int64)})
 
 
@@ -634,37 +660,21 @@ def _prefix_postings(
     first grams under the global order (DF-ascending for broadcast
     heavy grams, gram-hash ascending otherwise).  floor (not the exact
     ceil) keeps the prefix a token longer under float t — over-emission
-    is safe, a short prefix is not."""
-    ids = b["doc_id"].to_numpy()
-    grams, counts = _batch_gram_hashes(b["text"].tolist())
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    out_g: list[np.ndarray] = []
-    out_d: list[np.ndarray] = []
-    out_s: list[np.ndarray] = []
-    nh = heavy_grams.size
-    for k in range(len(ids)):
-        g = np.unique(grams[starts[k] : starts[k] + counts[k]])
-        sz = g.size  # >= 1 (every doc hashes to at least one gram)
-        p = min(sz, sz - int(threshold * sz) + 1)
-        if nh:
-            dfc, hit = _sorted_lookup(heavy_grams, heavy_df, g)
-            dfv = np.where(hit, dfc, 0)
-            pref = g[np.lexsort((g, dfv))[:p]]
-        else:
-            pref = g[:p]  # np.unique output is already hash-ascending
-        out_g.append(pref)
-        out_d.append(np.full(pref.size, ids[k], dtype=np.int64))
-        out_s.append(np.full(pref.size, sz, dtype=np.int64))
-    if not out_g:
-        return pd.DataFrame(
-            {c: pd.Series([], dtype="int64") for c in ("gram", "doc_id", "size")}
-        )
+    is safe, a short prefix is not.  One lexsort of the batch's
+    _gram_table keys by (doc, DF, gram) ranks every doc's grams at once;
+    a gram's rank is its offset from its doc's start."""
+    _, sizes, starts, keys = _gram_table(np.arange(len(b)), b["text"].tolist())
+    doc = (keys >> np.uint64(32)).astype(np.int64)
+    g = keys & _LO32
+    dfc, hit = _sorted_lookup(heavy_grams, heavy_df, g)
+    order = np.lexsort((g, np.where(hit, dfc, 0), doc))
+    p = np.minimum(sizes, sizes - (threshold * sizes).astype(np.int64) + 1)
+    sel = order[np.arange(len(order)) - starts[doc[order]] < p[doc[order]]]
     return pd.DataFrame(
         {
-            "gram": np.concatenate(out_g).astype(np.int64),
-            "doc_id": np.concatenate(out_d),
-            "size": np.concatenate(out_s),
+            "gram": g[sel].astype(np.int64),
+            "doc_id": b["doc_id"].to_numpy(np.int64)[doc[sel]],
+            "size": sizes[doc[sel]].astype(np.int64),
         }
     )
 
@@ -727,10 +737,6 @@ def prefix_filter_candidates(
     """documents(doc_id, text) -> EXACT candidate pairs (a < b): a
     superset of every pair with n-gram jaccard >= threshold, with no
     randomness (prefix-filter guarantee, see q68)."""
-    import ray
-
-    from ..functions.broadcast import bget
-
     heavy_ref = ray.put(_gram_df_topk(docs, df_top_k))
     t_num = int(round(threshold * 1e6))
 
@@ -1104,9 +1110,6 @@ def q23b_embedding_neardup_exact(sf_dir: str, threshold: float = 0.45) -> pa.Tab
     same broadcast-matrix batch-matmul shape as q15 ANN) and the
     recall reference.  Threshold 0.45 because the driver embeddings
     are random (max pair cosine ~0.5): 0.95 matches nothing."""
-    import ray
-
-    from ..functions.broadcast import bget
     from .cluster import stack_embeddings_arrow
 
     import pyarrow.parquet as pq
@@ -1202,7 +1205,6 @@ def connected_components(pairs: rd.Dataset | pa.Table, max_iters: int = 50) -> r
     Shuffle traffic per round: (node, label) int pairs only — never
     document payloads.
     """
-    import ray
     from ray.data.aggregate import Min
 
     from .relational import JOIN_ARGS
@@ -1330,9 +1332,6 @@ def q69_leakage_safe_split(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
     oracle replays exactly in HUGEINT).  Reference analog: the
     reference has no split logic at all (its dedup is the md5 cache,
     ``dblpclient.py:442-443``); this is new training-data surface."""
-    import ray
-
-    from ..functions.broadcast import bget
     from .mlprep import _key_hash32
     from .relational import JOIN_ARGS
 
@@ -1405,9 +1404,6 @@ def q70_dedup_corpus(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
     ids against the full table, the q05 pattern).  Reference analog:
     the reference's whole-corpus md5-keyed drop
     (``data/s2processor.py:114-118``) extended to near-duplicates."""
-    import ray
-
-    from ..functions.broadcast import bget
     from .relational import JOIN_ARGS
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -1521,10 +1517,6 @@ def q61_decontaminate(sf_dir: str, eval_mod: int = 97) -> rd.Dataset:
     (sorted eval array + searchsorted), distinct-(doc, gram) dedupe in
     numpy.  Row-identical to q61_decontaminate_exact absent 64-bit
     collisions (pytest-gated at sf0.01)."""
-    import ray
-
-    from ..functions.broadcast import bget
-
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     eval_texts = (
         docs.map_batches(
@@ -1576,10 +1568,6 @@ def q61_decontaminate_exact(sf_dir: str, eval_mod: int = 97) -> rd.Dataset:
     """String-gram anchor (zero collision caveat — the form the SQL
     oracle replays verbatim and the parity pytest holds the hashed
     production path to)."""
-    import ray
-
-    from ..functions.broadcast import bget
-
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     eval_texts = (
         docs.map_batches(

@@ -652,12 +652,10 @@ def q60_token_budget_select(sf_dir: str, budget_frac: int = 4) -> rd.Dataset:
     from ..functions import text as T
     from ..functions.text import _LANG_PROFILES, _WORD_RE as _QRE
 
-    stop = _LANG_PROFILES["en"]
-
     def score(b: pd.DataFrame) -> pd.DataFrame:
         words = b["text"].str.lower().str.findall(_QRE)
         n_words = words.str.len().clip(lower=1).to_numpy()
-        hits = words.map(lambda ws: sum(w in stop for w in ws)).to_numpy()
+        hits = T.stopword_hits(words, _LANG_PROFILES["en"])
         return pd.DataFrame(
             {
                 "doc_id": b["doc_id"].astype("int64"),

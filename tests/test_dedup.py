@@ -794,3 +794,169 @@ def test_ivf_knn_graph_empty_table(ray_session, tmp_path):
     )
     assert ann._ivf_knn_centroids(str(tmp_path), ann.IVF_KNN_CENTROIDS).shape[0] == 0
     assert ann.q94b_ivf_knn_graph(str(tmp_path), k=4).count() == 0
+
+
+def test_ivf_ann_empty_table(ray_session, tmp_path):
+    """q41 over a 0-row embeddings.parquet returns the empty top-k
+    table instead of raising on the empty query/centroid reads."""
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array([], pa.int64()),
+                "embedding": pa.array([], pa.list_(pa.float32())),
+            }
+        ),
+        tmp_path / "embeddings.parquet",
+    )
+    got = ann.q41_ivf_ann(str(tmp_path))
+    assert got.num_rows == 0
+    assert got.schema.names == ["qid", "vec_id", "cos"]
+
+
+def test_table_jaccards_bit_identical_on_edge_docs():
+    """_table_jaccards vs the scalar ngram_jaccard + _round6_half_up on
+    the shingling edge cases: empty texts (sentinel gram 0), 1- and
+    2-token docs (one short gram), repeated grams, a doc paired with
+    itself, both orders of every pair, and doc_ids above 2**32 (the
+    table packs the dense doc index, never the doc_id)."""
+    big = 1 << 40
+    texts = {
+        big + 0: "",
+        big + 1: "   ",
+        big + 2: "alpha",
+        big + 3: "alpha bravo",
+        big + 4: "bravo alpha",
+        big + 5: "alpha bravo charlie",
+        big + 6: "alpha bravo charlie alpha bravo charlie alpha bravo charlie",
+        big + 7: "alpha alpha alpha alpha alpha",
+        7: "alpha bravo charlie delta",
+        3: "alpha bravo charlie delta echo",
+        (1 << 62) + 9: "echo delta charlie bravo alpha",
+    }
+    ids = list(texts)
+    a, b = map(list, zip(*itertools.product(ids, ids)))
+    table = dedup._gram_table(ids, [texts[i] for i in ids])
+    got = dedup._table_jaccards(table, a, b)
+    want = [
+        dedup._round6_half_up(dedup.ngram_jaccard(texts[x], texts[y]))
+        for x, y in zip(a, b)
+    ]
+    assert got.tolist() == want
+    assert all(j == 1.0 for x, y, j in zip(a, b, got) if x == y)
+    # the table is order-free: any input order gives the same bits
+    rev = dedup._gram_table(ids[::-1], [texts[i] for i in ids[::-1]])
+    assert dedup._table_jaccards(rev, b, a).tolist() == want
+    assert dedup._table_jaccards(table, [], []).size == 0
+
+
+def _sorted_pairs(t: pa.Table) -> pd.DataFrame:
+    return t.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
+
+
+def test_q68_join_path_matches_broadcast(neardup_dir, monkeypatch):
+    """The hash-join verify path (above BROADCAST_PAIR_LIMIT) returns
+    exactly the broadcast path's pairs and jaccard bits."""
+    broadcast = _sorted_pairs(dedup.q68_ngram_jaccard_join(neardup_dir, 0.7))
+    monkeypatch.setattr(dedup, "BROADCAST_PAIR_LIMIT", 0)
+    joined = _sorted_pairs(dedup.q68_ngram_jaccard_join(neardup_dir, 0.7))
+    assert len(broadcast) > 0
+    pd.testing.assert_frame_equal(joined, broadcast)
+
+
+def test_broadcast_verify_shingles_each_candidate_once(ray_session, monkeypatch):
+    """The broadcast verify path shingles each candidate doc exactly
+    once per call (one _gram_table in the calling process), however
+    many chunk tasks score the pairs; the tasks receive only the table."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    base = [" ".join(rng.choice(WORDS, size=30)) for _ in range(60)]
+    texts = base + [t.replace(t.split()[4], "zulu", 1) for t in base]
+    # jaccard exactly 7/10 == the threshold: kept
+    texts += [" ".join(WORDS[:12]), " ".join(WORDS[:9])]
+    docs = rd.from_pandas(pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts}))
+    ii, jj = np.triu_indices(len(texts), k=1)
+    # every pair twice: raw candidates may repeat
+    cand = rd.from_pandas(
+        pd.DataFrame({"a": np.tile(ii, 2), "b": np.tile(jj, 2)}).astype("int64")
+    )
+    assert len(ii) // 2048 + 1 > 1  # several chunk tasks
+    calls = []
+    real = dedup._batch_gram_hashes
+
+    def counting(batch):
+        calls.append(len(batch))
+        return real(batch)
+
+    monkeypatch.setattr(dedup, "_batch_gram_hashes", counting)
+    got = dedup.verify_pairs_adaptive(docs, cand, 0.7).to_pandas()
+    assert calls == [len(texts)]
+    want = {
+        (i, j)
+        for i, j in zip(ii.tolist(), jj.tolist())
+        if dedup._round6_half_up(dedup.ngram_jaccard(texts[i], texts[j])) >= 0.7
+    }
+    assert (len(texts) - 2, len(texts) - 1) in want
+    assert set(zip(got["a"], got["b"])) == want
+
+
+def test_broadcast_verify_keeps_chunks_in_flight_within_cluster_cpus(ray_session, monkeypatch):
+    """The broadcast verify path never has more than two chunk tasks
+    in flight per cluster CPU: a deeper queue makes the raylet start
+    worker processes that no chunk uses."""
+    import ray
+
+    rng = np.random.Generator(np.random.PCG64(5))
+    texts = [" ".join(rng.choice(WORDS, size=12)) for _ in range(240)]
+    docs = rd.from_pandas(pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts}))
+    ii, jj = np.triu_indices(len(texts), k=1)
+    cand = rd.from_pandas(pd.DataFrame({"a": ii, "b": jj}).astype("int64"))
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert len(ii) // 2048 + 1 > 2 * cpus  # more chunks than the window
+    submitted, in_flight = [], []
+    real = dedup._verify_chunk
+
+    class Counting:
+        @staticmethod
+        def remote(*args):
+            _, busy = ray.wait(submitted, num_returns=len(submitted), timeout=0) if submitted else ([], [])
+            in_flight.append(len(busy))
+            submitted.append(real.remote(*args))
+            return submitted[-1]
+
+    monkeypatch.setattr(dedup, "_verify_chunk", Counting)
+    got = dedup.verify_pairs_adaptive(docs, cand, 0.7)
+    assert len(submitted) == len(ii) // 2048 + 1
+    assert max(in_flight) < 2 * cpus
+    want = sum(
+        dedup._round6_half_up(dedup.ngram_jaccard(texts[i], texts[j])) >= 0.7
+        for i, j in zip(ii.tolist(), jj.tolist())
+    )
+    assert got.num_rows == want
+
+
+def test_prefix_postings_and_df_match_per_doc_reference():
+    """The batch-vectorized _prefix_postings and _df_partials equal a
+    per-doc scalar reference row for row: each doc's distinct grams
+    ordered by (heavy-gram DF, gram), its first |G| - floor(t|G|) + 1
+    kept; with and without the heavy-gram table."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    texts = [" ".join(rng.choice(WORDS[:6], size=int(k))) for k in rng.integers(3, 40, 40)]
+    texts += ["", "alpha", "alpha bravo", "alpha bravo charlie alpha bravo charlie"]
+    b = pd.DataFrame({"doc_id": np.arange(len(texts)) * 7 + (1 << 40), "text": texts})
+    gsets = [sorted(set(dedup._shingle_hashes(t).tolist())) for t in texts]
+    df = dedup._df_partials(b)
+    want_df = pd.Series([g for s in gsets for g in s]).value_counts()
+    assert dict(zip(df["gram"], df["n"])) == want_df.to_dict()
+    top = df.sort_values(["n", "gram"], ascending=[False, True]).head(5)
+    order = np.argsort(top["gram"].to_numpy())
+    heavy = (top["gram"].to_numpy().astype(np.uint64)[order], top["n"].to_numpy()[order])
+    empty = (np.zeros(0, np.uint64), np.zeros(0, np.int64))
+    for hg, hdf in (heavy, empty):
+        df_of = dict(zip(hg.tolist(), hdf.tolist()))
+        for t in (0.5, 0.7, 0.9):
+            want = []
+            for did, gs in zip(b["doc_id"], gsets):
+                p = min(len(gs), len(gs) - int(t * len(gs)) + 1)
+                pref = sorted(gs, key=lambda g: (df_of.get(g, 0), g))[:p]
+                want += [(g, did, len(gs)) for g in pref]
+            got = dedup._prefix_postings(b, t, hg, hdf)
+            assert list(got.itertuples(index=False, name=None)) == want

@@ -282,6 +282,29 @@ def test_token_budget_select_matches_serial(ray_session):
     assert int(got["n_tokens"].sum()) <= budget
 
 
+def test_stopword_hits_matches_per_row_loop():
+    """The explode/isin/bincount stopword kernel gives the per-row
+    loop's exact counts, including rows with zero words, on a
+    non-range index."""
+    from cs_insights_crawler_ray.functions.text import (
+        _LANG_PROFILES,
+        _WORD_RE,
+        stopword_hits,
+    )
+
+    stop = _LANG_PROFILES["en"]
+    texts = pd.Series(
+        ["The cat and THE dog", "", "!! ??", "of to a in is", "xyz", "the the"],
+        index=[50, 3, 9, 1, 0, 7],
+    )
+    words = texts.str.lower().str.findall(_WORD_RE)
+    want = [sum(w in stop for w in ws) for ws in words]
+    got = stopword_hits(words, stop)
+    assert got.dtype == np.int64 and got.tolist() == want == [3, 0, 0, 5, 0, 2]
+    assert stopword_hits(words.iloc[:0], stop).tolist() == []
+    assert stopword_hits(words.iloc[1:3], stop).tolist() == [0, 0]
+
+
 def test_inverted_index_roundtrip(ray_session, tmp_path):
     """q65: the written posting lists are complete, sorted, bucketed
     by crc32(term), and the counters derive from the files."""
