@@ -18,8 +18,9 @@ restatement:
   frontier rows — reach the driver).
 - **Politeness** = per-host token buckets refilled per wave
   (state/politeness.py) enforced before fetch.
-- **Seen set** = sharded bloom+cuckoo+exact actors keyed by
-  ``host_hash % shards`` (state/seen.py).
+- **Seen set** = sharded actors keyed by ``host_hash % shards``, each
+  holding exact sorted digest runs (bloom + cuckoo in the optional
+  sketch mode; state/seen.py).
 - **Payload** lands in the Lance-abstracted sink partitioned by wave
   (sources/sinks.py), schema per input_hint.
 - **Resume** = wave-granular manifests committed atomically AFTER the

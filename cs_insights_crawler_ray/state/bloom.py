@@ -1,13 +1,17 @@
 """Counting Bloom filter over 20-byte URL digests.
 
-Approximate-membership sketch for the URL-seen set (BASELINE.json
-north_rule).  The reference's "seen" mechanism is file-granular disk
-caching (reference ``dblpclient.py:340-350,442-443``); at 10^10-URL
-scale the seen set must be a compact in-memory sketch, sharded across
-actors (see ``state/seen.py``).
+Approximate-membership sketch for the URL-seen set's sketch mode
+(BASELINE.json north_rule; ``state/seen.py`` ``SketchSet``).  The
+reference's "seen" mechanism is file-granular disk caching (reference
+``dblpclient.py:340-350,442-443``); at 10^10-URL scale a seen set
+that accepts a false-positive rate can be a compact in-memory sketch,
+sharded across actors.
 
 Counting (uint8 cells, saturating) rather than bit-per-cell so
-deletions are possible — needed when a wave is rolled back on resume.
+deletions are possible (``remove``).  The crawl never deletes — resume
+replays delta snapshots, it rolls nothing back — so this is for
+windowed membership such as a recrawl policy; the counters cost 8x
+the memory of a bit array.
 Guarantees: NO false negatives; false-positive rate ~ (1-e^{-kn/m})^k.
 k hash functions are derived from disjoint slices of the SHA-1 digest
 itself (the digest is already uniform), so adds are pure numpy — no
@@ -100,16 +104,3 @@ class CountingBloom:
             new = np.where(dec, np.maximum(cur - cnt, 0), cur)
             self.cells[uniq] = new.astype(np.uint8)
         self.n_added -= digests.shape[0]
-
-    # -- snapshot (checkpoint/resume) --------------------------------
-    def dump(self) -> dict:
-        return {"k": self.k, "m": int(self.m), "cells": self.cells, "n_added": self.n_added}
-
-    @classmethod
-    def load(cls, state: dict) -> "CountingBloom":
-        obj = cls.__new__(cls)
-        obj.k = state["k"]
-        obj.m = np.uint64(state["m"])
-        obj.cells = np.asarray(state["cells"], dtype=np.uint8).copy()
-        obj.n_added = state["n_added"]
-        return obj

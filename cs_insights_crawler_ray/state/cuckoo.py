@@ -2,9 +2,9 @@
 
 Second membership sketch required by the north_rule ("sharded
 counting-bloom + cuckoo-filter URL-seen set").  Compared to the bloom
-it supports clean deletes and ~same space at low FP rates; we run both
-in each seen shard and use the bloom as the fast-negative screen (see
-``state/seen.py`` for the exactness contract).
+it supports clean deletes and ~same space at low FP rates.  The seen
+set's sketch mode (``state/seen.py`` ``SketchSet``) holds both and
+confirms bloom positives against the cuckoo.
 
 Standard design (Fan et al., CoNLL'14, public): buckets of 4
 fingerprint slots, partial-key cuckoo hashing with
@@ -145,23 +145,3 @@ class CuckooFilter:
                     break
         self.n_added -= removed
         return removed
-
-    # -- snapshot -----------------------------------------------------
-    def dump(self) -> dict:
-        return {
-            "n_buckets": self.n_buckets,
-            "table": self.table,
-            "n_added": self.n_added,
-            "rng_state": self.rng.bit_generator.state,
-        }
-
-    @classmethod
-    def load(cls, state: dict) -> "CuckooFilter":
-        obj = cls.__new__(cls)
-        obj.n_buckets = state["n_buckets"]
-        obj.mask = np.uint64(obj.n_buckets - 1)
-        obj.table = np.asarray(state["table"], dtype=np.uint16).copy()
-        obj.n_added = state["n_added"]
-        obj.rng = np.random.Generator(np.random.PCG64())
-        obj.rng.bit_generator.state = state["rng_state"]
-        return obj

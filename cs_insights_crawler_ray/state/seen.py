@@ -1,5 +1,5 @@
-"""Sharded URL-seen set — bloom + cuckoo sketches with an exact
-authority, held in long-lived Ray actors.
+"""Sharded URL-seen set — exact sorted digest runs, or bloom + cuckoo
+sketches, held in long-lived Ray actors.
 
 The reference's seen/idempotence mechanism is a disk cache of
 downloaded files checked by md5 (reference ``dblpclient.py:340-350,
@@ -14,20 +14,24 @@ in one shard (same key the politeness layer partitions by), bounds any
 single actor's memory, and lets `check_and_add` calls from parallel
 map_batches tasks fan out without a global lock.
 
-Exactness contract (needed for byte-identical parity with the
-sequential oracle, BASELINE.json north_star):
+Membership modes — each shard holds exactly ONE membership structure,
+chosen at construction, and every test-and-set, lookup and restore
+runs through it:
 
-- bloom negative  -> definitely NEW (bloom has no false negatives);
-  add to bloom + cuckoo + exact authority.
-- bloom positive  -> consult the exact authority (a per-shard hash
-  set of 20-byte digests).  For genuinely-new URLs this path is rare
-  (≈ bloom FP rate), so the authority is touched ~never on the hot
-  path; for a pure-sketch deployment set ``exact=False`` — bloom
-  positives are then confirmed against the cuckoo chain (independent
-  hash family: both sketches hold every added digest, so "seen"
-  requires BOTH to say maybe and the FP rates multiply) and the
-  residual FP rate is accepted (URLs wrongly considered seen are
-  skipped — safe, just lossy).
+- exact (``exact=True``, the default and the crawl's mode):
+  ``SortedDigestSet``, sorted runs of 20-byte digests.  Answers are
+  exact, which byte-identical parity with the sequential oracle needs
+  (BASELINE.json north_star).  No sketch screens it: the runs answer
+  a whole batch faster than a bloom screen in front of them did (one
+  process, min of 3: 16 vs 28 ms for three 9k-digest waves, 2.4 vs
+  3.9 s for ten 200k-digest waves).
+- sketch (``exact=False``): ``SketchSet``, a scalable counting-bloom
+  chain plus a chained cuckoo filter (the north_rule's two sketches).
+  Both hold every added digest and use independent hash families, so
+  "seen" requires BOTH to say maybe and the FP rates multiply.  There
+  are no false negatives; the residual FP rate is accepted (URLs
+  wrongly considered seen are skipped — safe, just lossy).
+  ``capacity``/``fp_rate`` size these sketches only.
 
 Determinism under parallelism: callers dedupe each wave globally by
 ``url_sha1`` *before* the seen filter (groupby min-discovery-key), so
@@ -80,11 +84,10 @@ def _digest_keys(rows: np.ndarray):
 
 
 class SortedDigestSet:
-    """Exact membership authority over 20-byte digests as SORTED packed
-    key arrays — 20 bytes/row contiguous (a Python ``set`` of bytes
-    keys costs ~4-5x that in object headers at 10^6+ rows) with fully
-    vectorized ``contains`` via searchsorted, no per-row Python on the
-    bloom-positive path.
+    """Exact membership over 20-byte digests as SORTED packed key
+    arrays — 20 bytes/row contiguous (a Python ``set`` of bytes keys
+    costs ~4-5x that in object headers at 10^6+ rows) with fully
+    vectorized ``contains`` via searchsorted, no per-row Python.
 
     LSM layout (the same pattern as ``state/frontier.py``): an ordered
     list of sorted runs; adds append a run (check_and_add's new rows
@@ -103,6 +106,8 @@ class SortedDigestSet:
 
     def __len__(self) -> int:
         return self.n
+
+    exact_size = property(__len__)
 
     def add_rows(self, rows: np.ndarray, assume_sorted: bool = False) -> None:
         """Append (N,20) rows DISJOINT from the current contents
@@ -165,6 +170,124 @@ class SortedDigestSet:
         return out
 
 
+class SketchSet:
+    """Pure-sketch membership (``exact=False``): a scalable counting-bloom
+    chain and a chained cuckoo filter, both holding every added digest.
+    "Seen" requires BOTH to say maybe (independent hash families, so
+    the FP rates multiply); neither has false negatives."""
+
+    exact_size = -1  # sketches keep no exact member count
+
+    def __init__(self, shard_id: int, capacity: int, fp_rate: float):
+        self.shard_id = shard_id
+        self.capacity = capacity
+        self.fp_rate = fp_rate
+        # scalable-bloom (Almeida et al., public construction): when
+        # the active filter reaches its design capacity, chain a new
+        # one with doubled capacity. A saturated fixed bloom answers
+        # "maybe" for everything, which forced every lookup through
+        # the confirmation path (158s/wave observed at 2 shards).
+        self.blooms = [CountingBloom(capacity, fp_rate)]
+        # the cuckoo chains the same way: a table driven past its
+        # design load (~0.84) degrades into the per-item kick loop —
+        # 200 numpy-scalar kicks per overflow item, measured as a
+        # 37-CPU-minute stall when 2.5M digests hit a 1M-capacity
+        # filter. Adds go to the newest filter; membership checks all.
+        self.cuckoos = [CuckooFilter(capacity, seed=0x5EED ^ shard_id)]
+
+    def __len__(self) -> int:
+        return sum(c.n_added for c in self.cuckoos)
+
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Bloom screen; only its positives are confirmed against the
+        cuckoo chain."""
+        maybe = self._bloom_contains(rows)
+        idx = np.nonzero(maybe)[0]
+        if idx.size:
+            maybe[idx] = self._cuckoo_contains(rows[idx])
+        return maybe
+
+    def add_rows(self, rows: np.ndarray, assume_sorted: bool = False) -> None:
+        """Sketch adds are order-free; ``assume_sorted`` is ignored."""
+        self._bloom_add(rows)
+        self._cuckoo_add(rows)
+
+    @property
+    def bloom(self) -> CountingBloom:  # newest filter (adds go here)
+        return self.blooms[-1]
+
+    @property
+    def cuckoo(self) -> CuckooFilter:  # newest filter (adds go here)
+        return self.cuckoos[-1]
+
+    def cuckoo_capacity(self) -> int:
+        return self.capacity * (2 ** (len(self.cuckoos) - 1))
+
+    def _grow_cuckoo(self) -> None:
+        self.cuckoos.append(
+            CuckooFilter(
+                self.cuckoo_capacity() * 2,
+                seed=0x5EED ^ self.shard_id ^ len(self.cuckoos),
+            )
+        )
+
+    def _cuckoo_add(self, new: np.ndarray) -> None:
+        """Chained add: grow BEFORE the active filter would exceed its
+        design capacity (0.84 table load), keeping every bulk insert on
+        the vectorized two-round path.  Oversized batches split so no
+        single filter is driven past design load.  Kick-loop failures
+        (possible even below design load) are re-routed into a freshly
+        chained filter rather than dropped: a dropped fingerprint would
+        make a SEEN digest test "new" in pure-sketch mode — the error
+        direction the module contract forbids."""
+        start = 0
+        while start < new.shape[0]:
+            room = self.cuckoo_capacity() - self.cuckoo.n_added
+            if room <= 0:
+                self._grow_cuckoo()
+                continue
+            chunk = new[start : start + room]
+            failed = self.cuckoo.add(chunk)
+            while failed.size:
+                self._grow_cuckoo()
+                chunk = chunk[failed]
+                failed = self.cuckoo.add(chunk)
+            start += room
+
+    def _cuckoo_contains(self, d: np.ndarray) -> np.ndarray:
+        maybe = self.cuckoos[0].contains(d)
+        for c in self.cuckoos[1:]:
+            maybe |= c.contains(d)
+        return maybe
+
+    def _bloom_contains(self, d: np.ndarray) -> np.ndarray:
+        maybe = self.blooms[0].contains(d)
+        for b in self.blooms[1:]:
+            maybe |= b.contains(d)
+        return maybe
+
+    def _bloom_add(self, new: np.ndarray) -> None:
+        """Chained add, split like _cuckoo_add: an oversized batch (the
+        bulk restore concatenates EVERY delta snapshot) must not drive
+        one bloom past design capacity — 10x load puts the FP rate near
+        1 and every post-resume lookup falls through to the cuckoo
+        confirmation (the measured 158s/wave pathology this file
+        documents)."""
+        start = 0
+        while start < new.shape[0]:
+            room = self.bloom_capacity() - self.bloom.n_added
+            if room <= 0:
+                self.blooms.append(
+                    CountingBloom(self.bloom_capacity() * 2, self.fp_rate)
+                )
+                continue
+            self.bloom.add(new[start : start + room])
+            start += room
+
+    def bloom_capacity(self) -> int:
+        return self.capacity * (2 ** (len(self.blooms) - 1))
+
+
 def _unique_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(d, axis=0, return_index=True)`` for (N,20) uint8
     rows via a 3-key lexsort on packed big-endian words — identical
@@ -203,26 +326,23 @@ class _SeenShardImpl:
         self.shard_id = shard_id
         self.capacity = capacity
         self.fp_rate = fp_rate
-        # scalable-bloom (Almeida et al., public construction): when
-        # the active filter reaches its design capacity, chain a new
-        # one with doubled capacity. A saturated fixed bloom answers
-        # "maybe" for everything, which forced every lookup through
-        # the exact-set Python path (158s/wave observed at 2 shards).
-        self.blooms = [CountingBloom(capacity, fp_rate)]
-        # the cuckoo chains the same way: a table driven past its
-        # design load (~0.84) degrades into the per-item kick loop —
-        # 200 numpy-scalar kicks per overflow item, measured as a
-        # 37-CPU-minute stall when 2.5M digests hit a 1M-capacity
-        # filter. Adds go to the newest filter; membership checks all.
-        self.cuckoos = [CuckooFilter(capacity, seed=0x5EED ^ shard_id)]
-        self.exact: SortedDigestSet | None = SortedDigestSet() if exact else None
-        self.n_checked = 0
-        self.n_new = 0
+        self.exact = exact
         self.mailbox: list = []  # buffered link slices for the current wave
         self._folded: list = []  # pre-deduped chunks (pandas), fold_mailbox
         self._fold_rows = 0      # raw rows currently in self.mailbox
         self._last_process: dict = {}  # timing of the last process_wave
         self._last_new_count = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty membership and counters (construction and restore)."""
+        self.members: SortedDigestSet | SketchSet = (
+            SortedDigestSet()
+            if self.exact
+            else SketchSet(self.shard_id, self.capacity, self.fp_rate)
+        )
+        self.n_checked = 0
+        self.n_new = 0
         self._pending_deltas: list = []  # new digests since last snapshot
 
     # -- wave mailbox -------------------------------------------------
@@ -301,136 +421,38 @@ class _SeenShardImpl:
         table through a counting task."""
         return self._last_new_count, self._last_process
 
-    @property
-    def bloom(self) -> CountingBloom:  # newest filter (adds go here)
-        return self.blooms[-1]
-
-    @property
-    def cuckoo(self) -> CuckooFilter:  # newest filter (adds go here)
-        return self.cuckoos[-1]
-
-    def cuckoo_capacity(self) -> int:
-        return self.capacity * (2 ** (len(self.cuckoos) - 1))
-
-    def _grow_cuckoo(self) -> None:
-        self.cuckoos.append(
-            CuckooFilter(
-                self.cuckoo_capacity() * 2,
-                seed=0x5EED ^ self.shard_id ^ len(self.cuckoos),
-            )
-        )
-
-    def _cuckoo_add(self, new: np.ndarray) -> None:
-        """Chained add: grow BEFORE the active filter would exceed its
-        design capacity (0.84 table load), keeping every bulk insert on
-        the vectorized two-round path.  Oversized batches split so no
-        single filter is driven past design load.  Kick-loop failures
-        (possible even below design load) are re-routed into a freshly
-        chained filter rather than dropped: a dropped fingerprint would
-        make a SEEN digest test "new" in pure-sketch mode — the error
-        direction the module contract forbids."""
-        start = 0
-        while start < new.shape[0]:
-            room = self.cuckoo_capacity() - self.cuckoo.n_added
-            if room <= 0:
-                self._grow_cuckoo()
-                continue
-            chunk = new[start : start + room]
-            failed = self.cuckoo.add(chunk)
-            while failed.size:
-                self._grow_cuckoo()
-                chunk = chunk[failed]
-                failed = self.cuckoo.add(chunk)
-            start += room
-
-    def _cuckoo_contains(self, d: np.ndarray) -> np.ndarray:
-        maybe = self.cuckoos[0].contains(d)
-        for c in self.cuckoos[1:]:
-            maybe |= c.contains(d)
-        return maybe
-
-    def _bloom_contains(self, d: np.ndarray) -> np.ndarray:
-        maybe = self.blooms[0].contains(d)
-        for b in self.blooms[1:]:
-            maybe |= b.contains(d)
-        return maybe
-
-    def _bloom_add(self, new: np.ndarray) -> None:
-        """Chained add, split like _cuckoo_add: an oversized batch (the
-        bulk restore concatenates EVERY delta snapshot) must not drive
-        one bloom past design capacity — 10x load puts the FP rate near
-        1 and every post-resume lookup falls through to the exact set
-        (the measured 158s/wave pathology this file documents)."""
-        start = 0
-        while start < new.shape[0]:
-            room = self.bloom_capacity() - self.bloom.n_added
-            if room <= 0:
-                self.blooms.append(
-                    CountingBloom(self.bloom_capacity() * 2, self.fp_rate)
-                )
-                continue
-            self.bloom.add(new[start : start + room])
-            start += room
-
-    def bloom_capacity(self) -> int:
-        return self.capacity * (2 ** (len(self.blooms) - 1))
-
     def check_and_add(self, digests: np.ndarray) -> np.ndarray:
         """(N,20) uint8 -> (N,) bool, True = previously UNSEEN (and now
-        marked seen). Vectorized bloom screen; exact confirmation only
-        on the (rare) bloom-positive path.
+        marked seen).
 
         Duplicate-safe within a batch: if the same digest appears k
         times, only its FIRST occurrence (lowest index) is reported
-        new — the bloom screen is evaluated against pre-batch state,
-        so without the unique() pass every copy would read "new"."""
+        new — membership is evaluated against pre-batch state, so
+        without the unique() pass every copy would read "new"."""
         d = np.ascontiguousarray(digests).reshape(-1, 20)
         self.n_checked += d.shape[0]
         uniq, first_idx = _unique_rows(d)
-        maybe_seen = self._bloom_contains(uniq)
-        if maybe_seen.any():
-            idx = np.nonzero(maybe_seen)[0]
-            if self.exact is not None:
-                # vectorized exact confirmation of the bloom positives
-                maybe_seen[idx] = self.exact.contains_rows(uniq[idx])
-            else:
-                # pure-sketch mode: the cuckoo chain is the second,
-                # independent hash family — "seen" requires both
-                # sketches to agree, multiplying the FP rates
-                maybe_seen[idx] = self._cuckoo_contains(uniq[idx])
-        new_uniq = ~maybe_seen
+        new_uniq = ~self.members.contains_rows(uniq)
         new = uniq[new_uniq]
         if new.shape[0]:
-            self._bloom_add(new)
-            self._cuckoo_add(new)
-            if self.exact is not None:
-                self.exact.add_rows(new, assume_sorted=True)
-            self._pending_deltas.append(new.copy())
+            self.members.add_rows(new, assume_sorted=True)
+            self._pending_deltas.append(new)
         new_mask = np.zeros(d.shape[0], dtype=bool)
         new_mask[first_idx[new_uniq]] = True
         self.n_new += int(new_mask.sum())
         return new_mask
 
     def contains(self, digests: np.ndarray) -> np.ndarray:
-        d = np.ascontiguousarray(digests).reshape(-1, 20)
-        out = self._bloom_contains(d)
-        idx = np.nonzero(out)[0]
-        if idx.size:
-            out[idx] = (
-                self.exact.contains_rows(d[idx])
-                if self.exact is not None
-                else self._cuckoo_contains(d[idx])  # pure-sketch mode
-            )
-        return out
+        return self.members.contains_rows(
+            np.ascontiguousarray(digests).reshape(-1, 20)
+        )
 
     def stats(self) -> dict:
         return {
             "shard": self.shard_id,
             "checked": self.n_checked,
             "new": self.n_new,
-            "bloom_added": sum(b.n_added for b in self.blooms),
-            "cuckoo_added": sum(c.n_added for c in self.cuckoos),
-            "exact_size": len(self.exact) if self.exact is not None else -1,
+            "exact_size": self.members.exact_size,
         }
 
     # -- wave-barrier snapshots (checkpoint/resume) -------------------
@@ -444,7 +466,7 @@ class _SeenShardImpl:
         A full-state snapshot every wave is O(seen) writes per wave —
         6 MB/shard/wave at just 10^5 URLs, measured, and unworkable at
         10^10; the delta log is O(new-this-wave), and resume replays
-        the sorted log once to rebuild the sketches + exact authority.
+        the log once to rebuild the membership structure.
         """
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -473,54 +495,34 @@ class _SeenShardImpl:
         self._pending_deltas = []
         return str(p)
 
-    def restore(self, paths: list[str] | str) -> None:
-        """Rebuild full state by replaying delta snapshots in order.
+    def restore(self, paths: list[str]) -> None:
+        """Rebuild full state by replaying this shard's ordered delta
+        snapshots up to the resume wave.
 
-        ``paths`` is the ordered list of this shard's delta files up
-        to the resume wave (a single path is accepted for
-        compatibility)."""
-        if isinstance(paths, str):
-            paths = [paths]
-        # reset BEFORE the loop: with an empty paths list (mismatched
-        # checkpoint dir, or restore on an already-populated shard) the
-        # old in-loop reset never ran and the shard silently kept its
-        # stale digests — a resumed crawl would skip URLs the committed
-        # state never crawled
-        self.blooms = [CountingBloom(self.capacity, self.fp_rate)]
-        self.cuckoos = [CuckooFilter(self.capacity, seed=0x5EED ^ self.shard_id)]
-        if self.exact is not None:
-            self.exact = SortedDigestSet()
-        self.n_checked = 0
-        self.n_new = 0
-        first = True
-        deltas = []  # bulk-add ONCE: per-file adds re-sorted the whole
-        #              exact set every max_runs files (O(chain^2) work)
+        Resets first: with an empty ``paths`` (mismatched checkpoint
+        dir, or restore on an already-populated shard) a shard that
+        kept its stale digests would make a resumed crawl skip URLs the
+        committed state never crawled."""
+        states = []
         for path in paths:
             with open(path, "rb") as f:
-                state = pickle.load(f)
-            if first:
-                self.shard_id = state["shard_id"]
-                self.capacity = state["capacity"]
-                self.fp_rate = state["fp_rate"]
-                self.blooms = [CountingBloom(self.capacity, self.fp_rate)]
-                self.cuckoos = [
-                    CuckooFilter(self.capacity, seed=0x5EED ^ self.shard_id)
-                ]
-                if self.exact is not None:
-                    self.exact = SortedDigestSet()
-                first = False
-            d = np.asarray(state["deltas"], dtype=np.uint8).reshape(-1, 20)
-            if d.shape[0]:
-                deltas.append(d)
-            self.n_checked = state["n_checked"]
-            self.n_new = state["n_new"]
-        if deltas:
-            d = deltas[0] if len(deltas) == 1 else np.concatenate(deltas)
-            self._bloom_add(d)
-            self._cuckoo_add(d)
-            if self.exact is not None:
-                self.exact.add_rows(d)
-        self._pending_deltas = []
+                states.append(pickle.load(f))
+        if states:
+            self.shard_id = states[0]["shard_id"]
+            self.capacity = states[0]["capacity"]
+            self.fp_rate = states[0]["fp_rate"]
+        self._reset()
+        if states:
+            self.n_checked = states[-1]["n_checked"]
+            self.n_new = states[-1]["n_new"]
+            # bulk-add ONCE: per-file adds re-sorted the whole exact
+            # set every max_runs files (O(chain^2) work)
+            self.members.add_rows(
+                np.concatenate(
+                    [np.asarray(st["deltas"], dtype=np.uint8).reshape(-1, 20)
+                     for st in states]
+                )
+            )
 
 
 # num_cpus=0: shard actors do brief vectorized work at wave barriers
@@ -545,9 +547,10 @@ class ShardedSeenSet:
     def route(self, host_hash: np.ndarray) -> np.ndarray:
         return (host_hash % np.uint64(self.n_shards)).astype(np.int64)
 
-    def check_and_add(self, digests: np.ndarray, host_hash: np.ndarray) -> np.ndarray:
-        """Fan a batch out to shards concurrently; returns the NEW mask
-        aligned with the input order."""
+    def _fan_out(self, method: str, digests: np.ndarray,
+                 host_hash: np.ndarray) -> np.ndarray:
+        """Route each row to its shard, call ``method`` on every shard
+        concurrently, and gather the bool answers in input order."""
         d = np.ascontiguousarray(digests).reshape(-1, 20)
         shard_of = self.route(host_hash)
         mask = np.zeros(d.shape[0], dtype=bool)
@@ -555,25 +558,19 @@ class ShardedSeenSet:
         for s in range(self.n_shards):
             sel = np.nonzero(shard_of == s)[0]
             if sel.size:
-                refs.append(self.shards[s].check_and_add.remote(d[sel]))
+                refs.append(getattr(self.shards[s], method).remote(d[sel]))
                 idxs.append(sel)
         for ref, sel in zip(refs, idxs):
             mask[sel] = ray.get(ref)
         return mask
 
+    def check_and_add(self, digests: np.ndarray, host_hash: np.ndarray) -> np.ndarray:
+        """Fan a batch out to shards concurrently; returns the NEW mask
+        aligned with the input order."""
+        return self._fan_out("check_and_add", digests, host_hash)
+
     def contains(self, digests: np.ndarray, host_hash: np.ndarray) -> np.ndarray:
-        d = np.ascontiguousarray(digests).reshape(-1, 20)
-        shard_of = self.route(host_hash)
-        mask = np.zeros(d.shape[0], dtype=bool)
-        refs, idxs = [], []
-        for s in range(self.n_shards):
-            sel = np.nonzero(shard_of == s)[0]
-            if sel.size:
-                refs.append(self.shards[s].contains.remote(d[sel]))
-                idxs.append(sel)
-        for ref, sel in zip(refs, idxs):
-            mask[sel] = ray.get(ref)
-        return mask
+        return self._fan_out("contains", digests, host_hash)
 
     def snapshot(self, directory: str, wave: int) -> list[str]:
         paths = [

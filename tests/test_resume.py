@@ -262,3 +262,69 @@ def test_fresh_run_clears_stale_out_dir(tmp_path):
     assert mr["cumulative"] == mb["cumulative"]
     waves = sorted(p.name for p in (Path(out) / "crawl_log").iterdir())
     assert waves == ["wave=000000", "wave=000001"]
+
+
+def test_seen_shard_death_at_link_barrier_aborts_then_resumes(
+    tmp_path, monkeypatch
+):
+    """A seen shard actor dies once wave 2's fetch has filled its
+    mailbox, so wave 2's link barrier meets a dead shard that held the
+    wave's buffered links and a slice of the seen state.  The run must
+    abort before committing wave 2, and a resume with a fresh seen set
+    must rebuild membership from the delta logs and end byte-identical
+    to an uninterrupted run."""
+    import threading
+    import time
+
+    import ray
+
+    from cs_insights_crawler_ray.pipelines import crawl as crawl_mod
+    from cs_insights_crawler_ray.state.seen import ShardedSeenSet
+
+    full_dir, killed_dir = str(tmp_path / "full"), str(tmp_path / "killed")
+    full = run_crawl(CFG, full_dir)
+
+    seen = ShardedSeenSet(CFG.n_shards, CFG.seen_capacity)
+    victim = seen.shards[1]
+    orig_clear = crawl_mod.clear_partition
+
+    def killing_clear(path):
+        # the crawl-log partition is cleared right after the fetch
+        # barrier and right before the link barrier
+        if path.endswith("crawl_log/wave=000002"):
+            ray.kill(victim, no_restart=True)
+            with pytest.raises(ray.exceptions.RayActorError):
+                for _ in range(100):  # wait until the death is visible
+                    ray.get(victim.stats.remote(), timeout=30)
+                    time.sleep(0.1)
+        return orig_clear(path)
+
+    monkeypatch.setattr(crawl_mod, "clear_partition", killing_clear)
+    before = set(threading.enumerate())
+    try:
+        with pytest.raises(ray.exceptions.RayActorError):
+            run_crawl(CFG, killed_dir, seen=seen)
+    finally:
+        monkeypatch.undo()
+        seen.shutdown()
+    # the aborted wave's payload writer thread outlives the raise
+    for t in set(threading.enumerate()) - before:
+        if not t.daemon:
+            t.join(timeout=60)
+            assert not t.is_alive()
+
+    m = latest_manifest(f"{killed_dir}/checkpoints")
+    assert m is not None and m.wave == 1
+
+    fresh = ShardedSeenSet(CFG.n_shards, CFG.seen_capacity)
+    try:
+        part2 = run_crawl(CFG, killed_dir, resume=True, seen=fresh)
+    finally:
+        fresh.shutdown()
+    assert sorted(part2["by_wave"].keys()) == [2, 3]
+    assert part2["cumulative"] == full["cumulative"]
+    pd.testing.assert_frame_equal(read_crawl_log(full_dir), read_crawl_log(killed_dir))
+    pd.testing.assert_frame_equal(_payload_df(full_dir), _payload_df(killed_dir))
+    assert [(s["exact_size"], s["new"]) for s in part2["seen_stats"]] == [
+        (s["exact_size"], s["new"]) for s in full["seen_stats"]
+    ]
