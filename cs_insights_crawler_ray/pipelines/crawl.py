@@ -65,7 +65,9 @@ object-store Arrow tables fetched only when a refill or compaction
 draws from them: at 10^10-URL scale ``n_shards`` scales with the
 cluster, partitions hold frontier rows only (no payloads), and the
 object store spills cold runs.  The Dataset API still carries the
-heavy data path (admitted rows → fused fetch → payload sink).
+heavy data path (admitted rows → fused fetch); each fetched block then
+feeds the crawl log and the payload sink through plain per-block
+tasks (``_split_fetched``, ``sinks.write_payload``).
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ import ray.data as rd
 from ..fixtures.content_store import ContentStoreConfig, seed_urls
 from ..functions.urls import canonicalize_batch
 from ..sources.checkpoint import WaveManifest, commit_manifest, latest_manifest
-from ..sources.sinks import HAVE_LANCE, clear_partition, write_payload
+from ..sources.sinks import _write_part, clear_partition, write_payload
 from ..stages.fetch import fetch_decode_link_task
 from ..stages.links import RobotsFilterStage, explode_prepared
 from ..state import frontier
@@ -438,7 +440,7 @@ def _prepare_admission(key_refs, cand_refs, next_seq: int, wave_size: int,
     + repartition Dataset round (~0.9 s warm / ~2 s cold of pure
     executor latency per wave at 49k URLs).  Called inline for the
     first wave; steady-state waves run it on a thread overlapping the
-    previous wave's payload join + checkpoint barrier.  Returns None
+    previous wave's checkpoint barrier.  Returns None
     when no candidates remain (crawl exhausted)."""
     if admit_limit is None:
         admit_limit = ADMIT_FETCHALL_LIMIT  # read at call time: tests
@@ -480,39 +482,6 @@ def _prepare_admission(key_refs, cand_refs, next_seq: int, wave_size: int,
     )
     admitted = _dataset_from_slices(refs, metas)
     return admitted, seq_map, seq_ref, n_admitted
-
-
-def _count_payload_rows(payload_path: str) -> int:
-    """Rows written for one wave partition.  On the Lance backend the
-    COMMITTED manifest is authoritative — a dead-then-retried write
-    task leaves orphaned uuid-named fragment files under data/ that no
-    committed version references, so counting files would inflate
-    payload_rows past n_admitted.  An all-quarantined wave writes no
-    fragments at all, so the Lance sink never commits a version — that
-    IS zero payload rows, not a failed write (the fetch metrics still
-    record the quarantines), so the no-committed-version error falls
-    through to the file count, which is likewise 0 there.  The parquet
-    backend writes its part files at the TOP level of the partition
-    dir (never under data/), so the non-recursive glob counts exactly
-    the committed rows and never sees lance fragments."""
-    if HAVE_LANCE:
-        import lance
-
-        try:
-            return lance.dataset(payload_path).count_rows()
-        except (FileNotFoundError, ValueError):
-            pass  # no committed version: zero-row wave or parquet dir
-    return sum(
-        pq.read_metadata(f).num_rows
-        for f in Path(payload_path).glob("*.parquet")
-    )
-
-
-@ray.remote
-def _write_part(tbl: pa.Table, path: str) -> int:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    pq.write_table(tbl, path)
-    return tbl.num_rows
 
 
 @ray.remote
@@ -604,16 +573,15 @@ class _FusedWaveTask:
         return t.drop_columns(drop)
 
 
-@ray.remote
-def _log_cols(t: pa.Table) -> pa.Table:
-    return pa.table(
-        {
-            "fetch_seq": t["fetch_seq"],
-            "url_canon": t["url_canon"],
-            "depth": t["depth"],
-            "status": t["status"],
-        }
-    )
+LOG_COLS = ["fetch_seq", "url_canon", "depth", "status"]
+
+
+@ray.remote(num_returns=2)
+def _split_fetched(t: pa.Table, payload_cols: list) -> tuple:
+    """One fetched block -> (crawl-log columns, payload rows): the
+    payload keeps only decoded-ok rows, without the ok flag."""
+    payload = t.select(payload_cols).filter(t["ok"]).drop_columns(["ok"])
+    return pa.table({c: t[c] for c in LOG_COLS}), payload
 
 
 def _seed_table(seeds: list, disc_link_start: int) -> pa.Table:
@@ -882,9 +850,9 @@ def run_crawl(
             # broadcast dk->fetch_seq map.
             # Steady-state waves find their admission PREBUILT: a
             # driver thread overlapped the key sort + admitted
-            # materialize with the previous wave's payload join +
-            # checkpoint barrier (both driver-side, independent — the
-            # last O(wave) serial-residue term).
+            # materialize with the previous wave's checkpoint barrier
+            # (driver-side, independent — the last O(wave)
+            # serial-residue term).
             if prebuilt is None:
                 prebuilt = _prepare_admission(
                     key_refs, cand_refs, next_seq, cfg.wave_size, n_blocks
@@ -963,31 +931,13 @@ def run_crawl(
                 ),
                 batch_format="pyarrow",
                 batch_size=cfg.fetch_batch,
-            ).materialize()  # wave barrier: fetch exactly once, branch twice
+            ).materialize()  # wave barrier: the wave's only Dataset execution
             _mark("fetch")
 
-            # ---- crawl-order log (the headline determinism artifact).
-            # The admitted set is politeness-bounded, so a single
-            # driver-side parquet write of 4 narrow columns is cheap
-            # and saves a whole Dataset execution per wave.
-            log_path = str(out / "crawl_log" / f"wave={wave:06d}")
-            clear_partition(log_path)
-            log_tbl = pa.concat_tables(
-                ray.get(
-                    [
-                        _log_cols.remote(r)
-                        for r in fetched.to_arrow_refs()
-                    ]
-                )
-            )
-            Path(log_path).mkdir(parents=True, exist_ok=True)
-            pq.write_table(log_tbl, f"{log_path}/log.parquet")
-            _mark("log")
-
-            # ---- payload branch: project the payload columns out of
-            # the fused rows -> Lance-style sink.  Launched on a
-            # thread so the write overlaps the link branch below —
-            # both consume the materialized `fetched`.
+            # ---- split each fetched block in ONE plain task into the
+            # crawl-log columns and the payload rows; both outputs are
+            # written from those blocks, so the wave runs no Dataset
+            # execution beyond the fused fetch.
             payload_cols = [
                 "image_id", "bytes", "w", "h", "fmt", "caption", "phash", "ok",
             ]
@@ -995,28 +945,38 @@ def run_crawl(
                 from ..functions.imagefeat import FEATURE_COLUMNS
 
                 payload_cols += [name for name, _ in FEATURE_COLUMNS] + ["embedding"]
-            payload = fetched.map_batches(
-                lambda t: t.select(payload_cols).filter(t["ok"]).drop_columns(["ok"]),
-                batch_format="pyarrow",
-            )
+            splits = [
+                _split_fetched.remote(r, payload_cols)
+                for r in fetched.to_arrow_refs()
+            ]
+
+            # ---- crawl-order log (the headline determinism artifact).
+            # The admitted set is politeness-bounded, so a single
+            # driver-side parquet write of 4 narrow columns is cheap.
+            log_path = str(out / "crawl_log" / f"wave={wave:06d}")
+            clear_partition(log_path)
+            log_tbl = pa.concat_tables(ray.get([s[0] for s in splits]))
+            Path(log_path).mkdir(parents=True, exist_ok=True)
+            pq.write_table(log_tbl, f"{log_path}/log.parquet")
+            _mark("log")
+
+            # ---- payload -> Lance-style sink, blocking: the write is
+            # durable before the link barrier, so no write outlives an
+            # aborted wave.  A failure must abort BEFORE the manifest
+            # commits: a silently-failed payload write + committed
+            # manifest = permanent data loss (resume never re-fetches
+            # committed waves).
             payload_path = f"{out}/payload/wave={wave:06d}"
-
-            # exceptions must propagate: a silently-failed payload
-            # write + committed manifest = permanent data loss (resume
-            # never re-fetches committed waves), so the thread stores
-            # its exception and the join below re-raises BEFORE the
-            # checkpoint barrier can commit the wave.
-            payload_err: list[BaseException] = []
-
-            def _write_payload() -> None:
-                try:
-                    write_payload(payload, str(out / "payload"), f"wave={wave:06d}")
-                except BaseException as e:  # noqa: BLE001 - re-raised on join
-                    payload_err.append(e)
-
-            payload_thread = threading.Thread(target=_write_payload)
-            payload_thread.start()
-            _mark("payload_start")
+            try:
+                payload_rows = write_payload(
+                    [s[1] for s in splits], str(out / "payload"), f"wave={wave:06d}"
+                )
+            except Exception as e:
+                raise RuntimeError(
+                    f"payload write failed for wave {wave}; aborting before "
+                    "manifest commit so resume re-runs this wave"
+                ) from e
+            _mark("payload_join")
 
             # ---- link barrier: one deterministic process_wave() per
             # shard (cross-chunk merge of the pre-folded mailbox, seen
@@ -1062,9 +1022,9 @@ def run_crawl(
 
             # ---- prebuild NEXT wave's admission on a thread: the key
             # sort + admitted materialize (the last O(wave) serial
-            # term) overlaps this wave's payload join + checkpoint
-            # barrier below.  A prebuild failure aborts AFTER this
-            # wave's manifest commits, so resume redoes only wave+1.
+            # term) overlaps this wave's checkpoint barrier below.  A
+            # prebuild failure aborts AFTER this wave's manifest
+            # commits, so resume redoes only wave+1.
             adm_thread = None
             prebuild_err: list[BaseException] = []
             if wave + 1 < cfg.n_waves:
@@ -1085,22 +1045,6 @@ def run_crawl(
 
                 adm_thread = threading.Thread(target=_prebuild)
                 adm_thread.start()
-
-            # join the payload write before the checkpoint barrier
-            payload_thread.join()
-            if payload_err:
-                if adm_thread is not None:
-                    # drain the prebuild thread BEFORE raising: the
-                    # finally block may ray.kill the seen actors while
-                    # it is still mid-ray.get, turning a clean wave
-                    # abort into noisy secondary errors
-                    adm_thread.join()
-                raise RuntimeError(
-                    f"payload write failed for wave {wave}; aborting before "
-                    "manifest commit so resume re-runs this wave"
-                ) from payload_err[0]
-            payload_rows = _count_payload_rows(payload_path)
-            _mark("payload_join")
 
             # ---- wave barrier: checkpoint commit.  Delta waves wait
             # only on the O(new) parquet writes + O(delta) seen

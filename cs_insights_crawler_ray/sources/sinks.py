@@ -7,6 +7,12 @@ north_rule's Lance target.  ``pylance`` is not installed in this
 sandbox, so the writer is abstracted: one call site, two backends,
 identical directory layout — one directory per wave/partition so a
 resumed run skips finished partitions (never one giant file).
+
+``write_payload`` takes the wave's payload as a list of Arrow block
+refs (the crawl's fetched blocks, projected) rather than a Dataset:
+the parquet backend writes them with one plain task per block, so a
+wave's payload costs no Dataset execution and no read-back to count
+its rows.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import shutil
 from pathlib import Path
 
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 HAVE_LANCE = importlib.util.find_spec("lance") is not None
@@ -34,16 +42,31 @@ PAYLOAD_SCHEMA = pa.schema(
 )
 
 
-def write_payload(ds: rd.Dataset, root: str, partition: str) -> str:
-    """Write one payload partition (e.g. ``wave=000003``) under root.
+@ray.remote
+def _write_part(tbl: pa.Table, path: str, keep_empty: bool = True) -> int:
+    """Write one table to one parquet file (a retried task rewrites the
+    same path); ``keep_empty=False`` writes no file for zero rows."""
+    if tbl.num_rows or keep_empty:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        pq.write_table(tbl, path)
+    return tbl.num_rows
 
-    Parquet backend writes ``{root}/{partition}/`` as a directory of
-    part files (streaming, no driver materialization); the Lance
-    backend appends a versioned fragment — both are idempotent at
-    partition granularity: a re-run REPLACES the partition wholesale
-    (any half-written files from a killed run are cleared first; the
-    manifest referencing the partition is only committed after the
-    write, so a committed wave is never re-run).
+
+def write_payload(blocks: list, root: str, partition: str) -> int:
+    """Write one payload partition (e.g. ``wave=000003``) under root
+    from a list of Arrow table refs; returns the rows written, once
+    they are durable.
+
+    Parquet backend: one writer task per block, file
+    ``{root}/{partition}/part-{block index:05d}.parquet`` (a zero-row
+    block writes no file, so a zero-row wave leaves no partition dir);
+    the count is the sum the tasks return.  The Lance backend commits
+    a versioned fragment set and counts the committed manifest.  Both
+    are idempotent at partition granularity:
+    a re-run REPLACES the partition wholesale (any half-written files
+    from a killed run are cleared first; the manifest referencing the
+    partition is only committed after the write, so a committed wave
+    is never re-run).
     """
     out = f"{root}/{partition}"
     clear_partition(out)
@@ -54,10 +77,31 @@ def write_payload(ds: rd.Dataset, root: str, partition: str) -> str:
         # idempotence contract identical to the parquet branch.
         # Call shape held by tests/test_sinks.py::test_lance_branch_contract
         # (pylance itself is absent in this sandbox).
-        ds.write_lance(out, mode="create")
-    else:
-        ds.write_parquet(out)
-    return out
+        rd.from_arrow_refs(blocks).write_lance(out, mode="create")
+        return committed_lance_rows(out)
+    return sum(
+        ray.get(
+            [
+                _write_part.remote(b, f"{out}/part-{i:05d}.parquet", False)
+                for i, b in enumerate(blocks)
+            ]
+        )
+    )
+
+
+def committed_lance_rows(path: str) -> int:
+    """Rows in one Lance payload partition per its COMMITTED manifest —
+    a dead-then-retried write task leaves orphaned uuid-named fragment
+    files under data/ that no committed version references, so counting
+    files would inflate the wave's payload_rows past its admitted
+    count.  An all-quarantined wave writes no fragments, so the sink
+    never commits a version: that is zero rows, not a failed write."""
+    import lance
+
+    try:
+        return lance.dataset(path).count_rows()
+    except (FileNotFoundError, ValueError):
+        return 0
 
 
 def read_payload(root: str) -> rd.Dataset:

@@ -9,7 +9,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import duckdb, numpy as np, pandas as pd
 import ray
-ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
+ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 import __ray_entry__ as em

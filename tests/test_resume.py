@@ -289,8 +289,8 @@ def test_seen_shard_death_at_link_barrier_aborts_then_resumes(
     orig_clear = crawl_mod.clear_partition
 
     def killing_clear(path):
-        # the crawl-log partition is cleared right after the fetch
-        # barrier and right before the link barrier
+        # the crawl-log partition is cleared after the fetch barrier,
+        # before the payload write and the link barrier
         if path.endswith("crawl_log/wave=000002"):
             ray.kill(victim, no_restart=True)
             with pytest.raises(ray.exceptions.RayActorError):
@@ -307,11 +307,23 @@ def test_seen_shard_death_at_link_barrier_aborts_then_resumes(
     finally:
         monkeypatch.undo()
         seen.shutdown()
-    # the aborted wave's payload writer thread outlives the raise
-    for t in set(threading.enumerate()) - before:
-        if not t.daemon:
-            t.join(timeout=60)
-            assert not t.is_alive()
+    # nothing the aborted run started is still writing: no live
+    # non-daemon thread, and the payload tree does not change after
+    # the raise
+    assert not [
+        t for t in set(threading.enumerate()) - before
+        if not t.daemon and t.is_alive()
+    ]
+
+    def payload_tree():
+        return sorted(
+            (str(f.relative_to(killed_dir)), f.stat().st_size, f.stat().st_mtime_ns)
+            for f in Path(killed_dir, "payload").rglob("*")
+        )
+
+    tree = payload_tree()
+    time.sleep(2)
+    assert payload_tree() == tree
 
     m = latest_manifest(f"{killed_dir}/checkpoints")
     assert m is not None and m.wave == 1

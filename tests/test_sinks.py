@@ -55,16 +55,22 @@ def test_write_csv_flat_dotted_columns(tmp_path):
 
 
 def test_payload_partition_replace(tmp_path):
-    root = str(tmp_path / "payload")
-    ds1 = rd.from_items([{"image_id": "a", "n": 1}] * 5)
-    p = write_payload(ds1, root, "wave=000000")
-    assert list_partitions(root) == ["wave=000000"]
-    n_files_first = len(list(Path(p).glob("*.parquet")))
-    # re-run the same partition: REPLACED, not appended
-    write_payload(ds1, root, "wave=000000")
-    assert len(list(Path(p).glob("*.parquet"))) == n_files_first
     import pyarrow.parquet as pq
+    import ray
 
+    root = str(tmp_path / "payload")
+    p = f"{root}/wave=000000"
+    t = pa.table({"image_id": ["a", "b", "c", "d", "e"], "n": [1] * 5})
+    # one writer task per block; the middle block has zero rows
+    blocks = [ray.put(t.slice(0, 3)), ray.put(t.slice(3, 0)), ray.put(t.slice(3))]
+    assert write_payload(blocks, root, "wave=000000") == 5
+    assert list_partitions(root) == ["wave=000000"]
+    names_first = sorted(f.name for f in Path(p).glob("*.parquet"))
+    # the zero-row block leaves no file
+    assert names_first == ["part-00000.parquet", "part-00002.parquet"]
+    # re-run the same partition: REPLACED, not appended
+    assert write_payload(blocks, root, "wave=000000") == 5
+    assert sorted(f.name for f in Path(p).glob("*.parquet")) == names_first
     assert pq.read_table(p).num_rows == 5
     clear_partition(p)
     assert list_partitions(root) == []
@@ -73,9 +79,10 @@ def test_payload_partition_replace(tmp_path):
 def test_lance_branch_contract(monkeypatch, tmp_path):
     """VERDICT r02 #7: pylance is absent in this sandbox, so the Lance
     branch is held by a call-shape contract: with HAVE_LANCE forced on,
-    write_payload must route the DATASET (not a driver materialization)
-    to Dataset.write_lance under the cleared partition dir, and
-    read_payload must route to ray.data.read_lance."""
+    write_payload must route the blocks as a Dataset (not a driver
+    materialization) to Dataset.write_lance under the cleared partition
+    dir and return the committed row count, and read_payload must route
+    to ray.data.read_lance."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -93,15 +100,18 @@ def test_lance_branch_contract(monkeypatch, tmp_path):
     monkeypatch.setattr(sinks, "HAVE_LANCE", True)
     monkeypatch.setattr(rd.Dataset, "write_lance", fake_write_lance)
     monkeypatch.setattr(sinks.rd, "read_lance", fake_read_lance, raising=False)
+    monkeypatch.setattr(sinks, "committed_lance_rows", lambda path: calls["write"]["rows"])
 
     # pre-place a stale half-written partition: write_payload must clear it
     stale = tmp_path / "payload" / "wave=000001"
     stale.mkdir(parents=True)
     (stale / "junk").write_text("partial")
 
-    ds = rd.from_arrow(pa.table({"image_id": pa.array(["a", "b"])}))
-    out = sinks.write_payload(ds, str(tmp_path / "payload"), "wave=000001")
+    blocks = rd.from_arrow(pa.table({"image_id": pa.array(["a", "b"])})).to_arrow_refs()
+    rows = sinks.write_payload(blocks, str(tmp_path / "payload"), "wave=000001")
+    out = str(stale)
     assert calls["write"] == {"path": out, "mode": "create", "rows": 2}
+    assert rows == 2
     assert not (stale / "junk").exists()  # replace-partition semantics
 
     got = sinks.read_payload(str(tmp_path / "payload"))
@@ -164,8 +174,9 @@ def payload_table(n, seed):
 
 t0, t1 = payload_table(500, 0), payload_table(300, 1)
 root = {str(root)!r}
-out0 = sinks.write_payload(rd.from_arrow(t0).repartition(8), root, "wave=000000")
-sinks.write_payload(rd.from_arrow(t1).repartition(4), root, "wave=000001")
+out0 = f"{{root}}/wave=000000"
+assert sinks.write_payload(rd.from_arrow(t0).repartition(8).to_arrow_refs(), root, "wave=000000") == 500
+assert sinks.write_payload(rd.from_arrow(t1).repartition(4).to_arrow_refs(), root, "wave=000001") == 300
 
 # layout: fragment parquet files + atomic version manifests
 assert list(Path(out0, "data").glob("frag-*.parquet"))
@@ -184,7 +195,7 @@ assert lance.dataset(out0).version == 2
 assert rd.read_lance(out0).count() == 800
 
 # replace-partition idempotence: rewriting wave 0 resets it to create
-sinks.write_payload(rd.from_arrow(t0), root, "wave=000000")
+sinks.write_payload(rd.from_arrow(t0).to_arrow_refs(), root, "wave=000000")
 assert rd.read_lance(out0).count() == 500
 
 # an all-quarantined wave: zero rows -> Ray's LanceDatasink skips the
@@ -192,14 +203,15 @@ assert rd.read_lance(out0).count() == 500
 # must count it as 0 rows (not crash before the manifest commit) and
 # read_payload must skip it (not fail the whole payload union).
 empty = payload_table(0, 2)
-out2 = sinks.write_payload(rd.from_arrow(empty), root, "wave=000002")
+out2 = f"{{root}}/wave=000002"
+assert sinks.write_payload(rd.from_arrow(empty).to_arrow_refs(), root, "wave=000002") == 0
 try:
     lance.dataset(out2)
     raise AssertionError("expected no committed version under " + out2)
 except (FileNotFoundError, ValueError):
     pass
-from cs_insights_crawler_ray.pipelines.crawl import _count_payload_rows
-assert _count_payload_rows(out2) == 0
+from cs_insights_crawler_ray.sources.sinks import committed_lance_rows
+assert committed_lance_rows(out2) == 0
 back2 = sinks.read_payload(root).to_pandas().sort_values("image_id").reset_index(drop=True)
 want2 = pa.concat_tables([t0, t1]).to_pandas().sort_values("image_id").reset_index(drop=True)
 assert back2.equals(want2), "zero-row wave corrupted the payload union"
@@ -212,7 +224,7 @@ assert back2.equals(want2), "zero-row wave corrupted the payload union"
 import pyarrow.parquet as _pq
 orphan = Path(out0, "data", "frag-orphan-deadbeef.parquet")
 _pq.write_table(t1, str(orphan))
-assert _count_payload_rows(out0) == 500, "orphan fragment inflated the count"
+assert committed_lance_rows(out0) == 500, "orphan fragment inflated the count"
 back3 = sinks.read_payload(root).to_pandas().sort_values("image_id").reset_index(drop=True)
 assert back3.equals(want2), "orphan fragment leaked into the payload read"
 orphan.unlink()
@@ -227,7 +239,6 @@ rd.from_arrow(t3).write_parquet(str(Path(root, "wave=000003")))
 back4 = sinks.read_payload(root).to_pandas().sort_values("image_id").reset_index(drop=True)
 want4 = pa.concat_tables([t0, t1, t3]).to_pandas().sort_values("image_id").reset_index(drop=True)
 assert back4.equals(want4), "parquet-backend partition dropped from the union"
-assert _count_payload_rows(str(Path(root, "wave=000003"))) == 100
 
 # review r04 #3: the shim must REFUSE scanner features it cannot
 # evaluate — Ray's LanceDatasource forwards read_lance(filter=...) and
