@@ -59,7 +59,7 @@ no cross-partition exchange; the old combiner → ``groupby`` →
 ``map_groups`` admission (a full hash shuffle of the backlog every
 wave, ~1.4 s/wave fixed at sf0.1) is gone, and so is round 3's
 per-wave rest-of-frontier scan (53 s/wave of barrier wait at a 20M-row
-frontier — measured by scripts/scale_probe.py --deep).  Heads are
+frontier — BASELINE.md, "Frontier-size scaling" table).  Heads are
 O(hosts x budget) per partition (the politeness floor); runs are plain
 object-store Arrow tables fetched only when a refill or compaction
 draws from them: at 10^10-URL scale ``n_shards`` scales with the
@@ -73,7 +73,6 @@ tasks (``_split_fetched``, ``sinks.write_payload``).
 from __future__ import annotations
 
 import shutil
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -343,12 +342,6 @@ def _dataset_from_slices(table_refs: list, metas: list):
 # check is static (no probe round on the small path).
 ADMIT_FETCHALL_LIMIT = 2_000_000
 
-# sentinel distinguishing "the overlap-thread prebuild determined the
-# crawl is exhausted" from "no prebuild ran" (both were None before,
-# which made the exhaustion wave redo the full admission gather+sort)
-_EXHAUSTED = object()
-
-
 @ray.remote
 def _key_head(keys: pa.Table, p: int):
     """First p rows of one partition's (pre-sorted) candidate keys +
@@ -436,12 +429,9 @@ def _prepare_admission(key_refs, cand_refs, next_seq: int, wave_size: int,
     task sized from the key sort's per-partition admitted counts (so
     blocks stay ~wave/n_blocks rows even under partition skew; a
     single-block seed wave fetched near-serially otherwise: 41s vs 6s
-    for the same width, measured).  Replaces the previous map_batches
-    + repartition Dataset round (~0.9 s warm / ~2 s cold of pure
-    executor latency per wave at 49k URLs).  Called inline for the
-    first wave; steady-state waves run it on a thread overlapping the
-    previous wave's checkpoint barrier.  Returns None
-    when no candidates remain (crawl exhausted)."""
+    for the same width, measured).  Called on the driver at the top of
+    every wave.  Returns None when no candidates remain (crawl
+    exhausted)."""
     if admit_limit is None:
         admit_limit = ADMIT_FETCHALL_LIMIT  # read at call time: tests
         # monkeypatch the module constant to force the refinement path
@@ -825,12 +815,6 @@ def run_crawl(
         key_refs = [r[3] for r in init_rets]
         n_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
         metrics_by_wave = {}
-        # next wave's admission, built on an overlap thread.  None
-        # means "no prebuild ran" (first wave, or the thread was not
-        # started); _EXHAUSTED means the prebuild already determined
-        # the frontier is drained, so the loop breaks without
-        # re-running the whole key gather + sort just to rediscover it.
-        prebuilt = None
 
         for wave in range(start_wave, cfg.n_waves):
             phase_t: dict[str, float] = {}
@@ -847,18 +831,13 @@ def run_crawl(
             # driver sorts candidate KEYS only — min(n_parts x
             # wave_size, ~O(wave_size)) rows via the adaptive threshold
             # refinement (_gather_admission_keys) — and ships back a
-            # broadcast dk->fetch_seq map.
-            # Steady-state waves find their admission PREBUILT: a
-            # driver thread overlapped the key sort + admitted
-            # materialize with the previous wave's checkpoint barrier
-            # (driver-side, independent — the last O(wave)
-            # serial-residue term).
-            if prebuilt is None:
-                prebuilt = _prepare_admission(
-                    key_refs, cand_refs, next_seq, cfg.wave_size, n_blocks
-                )
-            adm = None if prebuilt is _EXHAUSTED else prebuilt
-            prebuilt = None
+            # broadcast dk->fetch_seq map.  It runs after the previous
+            # wave's manifest commit, so an admission failure aborts
+            # with that wave committed and resume redoes only this
+            # one; None means the frontier is drained.
+            adm = _prepare_admission(
+                key_refs, cand_refs, next_seq, cfg.wave_size, n_blocks
+            )
             if adm is None:
                 _mark("admission")
                 break
@@ -1020,32 +999,6 @@ def run_crawl(
             ]
             _mark("merge_launch")
 
-            # ---- prebuild NEXT wave's admission on a thread: the key
-            # sort + admitted materialize (the last O(wave) serial
-            # term) overlaps this wave's checkpoint barrier below.  A
-            # prebuild failure aborts AFTER this wave's manifest
-            # commits, so resume redoes only wave+1.
-            adm_thread = None
-            prebuild_err: list[BaseException] = []
-            if wave + 1 < cfg.n_waves:
-                nseq, krefs, crefs = next_seq, list(key_refs), list(cand_refs)
-
-                def _prebuild() -> None:
-                    nonlocal prebuilt
-                    try:
-                        res = _prepare_admission(
-                            krefs, crefs, nseq, cfg.wave_size, n_blocks
-                        )
-                        # distinguish "determined exhausted" from "no
-                        # prebuild ran": None would trigger a redundant
-                        # full re-gather next iteration
-                        prebuilt = _EXHAUSTED if res is None else res
-                    except BaseException as e:  # noqa: BLE001 - re-raised on join
-                        prebuild_err.append(e)
-
-                adm_thread = threading.Thread(target=_prebuild)
-                adm_thread.start()
-
             # ---- wave barrier: checkpoint commit.  Delta waves wait
             # only on the O(new) parquet writes + O(delta) seen
             # snapshots; full-snapshot waves additionally join the
@@ -1087,17 +1040,6 @@ def run_crawl(
                     n_shards=n_parts,
                 ),
             )
-            # join the admission prebuild AFTER the commit: a prebuild
-            # failure aborts with this wave safely committed (resume
-            # redoes only wave+1).  phase lands in the in-memory
-            # metrics (the manifest snapshot above precedes it).
-            if adm_thread is not None:
-                adm_thread.join()
-                if prebuild_err:
-                    raise RuntimeError(
-                        f"admission prebuild for wave {wave + 1} failed"
-                    ) from prebuild_err[0]
-                _mark("adm_prebuild_join")
         return {
             "cumulative": cumulative,
             "by_wave": metrics_by_wave,

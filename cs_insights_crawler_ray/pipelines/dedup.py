@@ -1299,9 +1299,9 @@ def q38_dup_groups(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
     Candidates come from the q68 prefix filter, not MinHash-LSH: the
     group chain inherits exactness (an LSH miss — ~2e-4/pair — merges
     or splits whole groups downstream, and connected components
-    amplify it), and the size probe (scripts/dedup_scale_probe.py)
-    measured the exact generator 2.2x FASTER at 200k docs (one
-    shingling pass vs 256 signature permutations per doc).  q17
+    amplify it), and the size probe (BASELINE.md, "Dedup-family size
+    probe" table) measured the exact generator 2.2x FASTER at 200k
+    docs (one shingling pass vs 256 signature permutations per doc).  q17
     remains the sketch path for corpora whose prefix buckets
     degenerate."""
     verified = q68_ngram_jaccard_join(sf_dir, threshold)

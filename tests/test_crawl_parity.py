@@ -113,15 +113,18 @@ def test_wave_metrics_parity(engine_run):
             assert em[w][k] == om[w][k], f"wave {w} metric {k}: {em[w][k]} != {om[w][k]}"
 
 
-def test_crawl_to_exhaustion_reaches_closure(tmp_path):
+def test_crawl_to_exhaustion_reaches_closure(tmp_path, monkeypatch):
     """On a tiny universe, crawling until the frontier empties must
     fetch exactly the robots-allowed reachable set (BFS closure of the
-    link graph from the seeds) — no page missed, none fetched twice."""
+    link graph from the seeds) — no page missed, none fetched twice —
+    and stop after one admission that finds the frontier drained."""
     from collections import deque
 
     from cs_insights_crawler_ray.fixtures.content_store import (
         fetch_page, robots_allowed, seed_urls)
     from cs_insights_crawler_ray.functions.urls import canonicalize_url, host_of
+    from cs_insights_crawler_ray.pipelines import crawl as crawl_mod
+    from cs_insights_crawler_ray.sources.checkpoint import latest_manifest
 
     cfg = CrawlConfig(
         store=ContentStoreConfig(seed=77, n_hosts=4, pages_per_host=25),
@@ -133,7 +136,20 @@ def test_crawl_to_exhaustion_reaches_closure(tmp_path):
         n_shards=2,
     )
     out = str(tmp_path)
-    run_crawl(cfg, out)
+    real_prepare = crawl_mod._prepare_admission
+    calls = {"n": 0}
+
+    def counting_prepare(*args, **kwargs):
+        calls["n"] += 1
+        return real_prepare(*args, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "_prepare_admission", counting_prepare)
+    by_wave = run_crawl(cfg, out)["by_wave"]
+    # the frontier drained before n_waves, found by exactly one extra
+    # admission gather after the last fetched wave
+    assert len(by_wave) < cfg.n_waves
+    assert calls["n"] == len(by_wave) + 1
+    assert latest_manifest(f"{out}/checkpoints").wave == max(by_wave)
     log = read_crawl_log(out)
 
     # independent BFS closure over the pure-function web

@@ -46,21 +46,7 @@ def test_dead_links_parity_and_quarantine(tmp_path):
     )
 
 
-def test_payload_write_failure_aborts_before_commit(tmp_path, monkeypatch):
-    """ADVICE r01: a failed payload write must ABORT the wave before
-    its manifest commits (a swallowed failure + committed manifest is
-    permanent silent data loss under zero-refetch resume), and a rerun
-    after the failure must complete and stay byte-identical to the
-    sequential oracle."""
-    from pathlib import Path
-
-    from cs_insights_crawler_ray.pipelines import crawl as crawl_mod
-
-    cfg = CrawlConfig(
-        store=ContentStoreConfig(seed=5, n_hosts=8, pages_per_host=100),
-        n_seeds=12, host_budget=3, wave_size=16, n_waves=3, n_shards=2,
-    )
-    out = str(tmp_path)
+def _fail_payload_write(monkeypatch, crawl_mod):
     real_write = crawl_mod.write_payload
     calls = {"n": 0}
 
@@ -71,15 +57,68 @@ def test_payload_write_failure_aborts_before_commit(tmp_path, monkeypatch):
         return real_write(ds, root, partition)
 
     monkeypatch.setattr(crawl_mod, "write_payload", flaky_write)
-    with pytest.raises(RuntimeError, match="payload write failed"):
+    return RuntimeError, "payload write failed"
+
+
+def _fail_seen_snapshot(monkeypatch, crawl_mod):
+    # run_crawl owns its seen set here, so patch the class
+    real_snapshot = ShardedSeenSet.snapshot
+
+    def flaky_snapshot(self, directory, wave):
+        if wave == 1:
+            raise OSError("simulated snapshot outage")
+        return real_snapshot(self, directory, wave)
+
+    monkeypatch.setattr(ShardedSeenSet, "snapshot", flaky_snapshot)
+    return OSError, "simulated snapshot outage"
+
+
+@pytest.mark.parametrize(
+    "inject", [_fail_payload_write, _fail_seen_snapshot],
+    ids=["payload_write", "seen_snapshot"],
+)
+def test_payload_write_failure_aborts_before_commit(tmp_path, monkeypatch, inject):
+    """ADVICE r01: a failure inside wave 1 — its payload write or its
+    seen snapshot — must ABORT the wave before its manifest commits (a
+    swallowed failure + committed manifest is permanent silent data
+    loss under zero-refetch resume), must leave no thread of the
+    aborted run alive, and a rerun after the failure must complete and
+    stay byte-identical to the sequential oracle."""
+    import threading
+    import time
+    from pathlib import Path
+
+    from cs_insights_crawler_ray.pipelines import crawl as crawl_mod
+
+    cfg = CrawlConfig(
+        store=ContentStoreConfig(seed=5, n_hosts=8, pages_per_host=100),
+        n_seeds=12, host_budget=3, wave_size=16, n_waves=3, n_shards=2,
+    )
+    out = str(tmp_path)
+    real_prepare = crawl_mod._prepare_admission
+
+    def slow_prepare(*args, **kwargs):
+        # an admission still running when the wave raises must not
+        # outlive run_crawl
+        time.sleep(0.5)
+        return real_prepare(*args, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "_prepare_admission", slow_prepare)
+    err, match = inject(monkeypatch, crawl_mod)
+    before = set(threading.enumerate())
+    with pytest.raises(err, match=match):
         run_crawl(cfg, out)
+    assert not [
+        t for t in set(threading.enumerate()) - before
+        if not t.daemon and t.is_alive()
+    ]
     # only wave 0 committed — the failed wave must NOT have a manifest
     manifests = sorted(Path(out, "checkpoints").glob("manifest_wave*.json"))
     assert len(manifests) == 1
 
-    # resume with a healthy sink: completes, and the full crawl log is
-    # byte-identical to the oracle
-    monkeypatch.setattr(crawl_mod, "write_payload", real_write)
+    # resume with every patch undone: completes, and the full crawl log
+    # is byte-identical to the oracle
+    monkeypatch.undo()
     metrics = run_crawl(cfg, out, resume=True)
     assert len(metrics["by_wave"]) >= 2
     log = read_crawl_log(out)
