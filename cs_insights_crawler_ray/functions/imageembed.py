@@ -10,8 +10,19 @@ float32 embedding usable by the ANN / near-dup operators) match what
 a real model would need.  It costs about 1-2 ms per 192-320 px image
 on one core of a shared Xeon VM, most of it the conv stack.
 
-Weights are Glorot-ish draws from PCG64(seed) — inference is
-bit-deterministic across processes.
+Weights are Glorot-ish draws from PCG64(seed).  Inference is
+bit-deterministic across processes only for a given BLAS kernel and
+BLAS thread count: the three conv products (``patches @ k.T``) and the
+final norm run through numpy's BLAS, and an OpenBLAS built with
+DYNAMIC_ARCH picks its sgemm kernel from the CPU and splits the work by
+its thread count.  Measured on the benchmark's toy multimodal crawl
+(numpy 1.26's bundled OpenBLAS 0.3.23, Xeon SapphireRapids): the
+features digest takes six distinct values across the Prescott,
+Core2, Nehalem, Haswell (= Zen), SkylakeX and native Cooperlake
+kernels on one thread, and differs again on two threads for both
+Prescott and the native kernel.  perfbench/expected.json records the
+Prescott kernel's values on one BLAS thread
+(OPENBLAS_CORETYPE=Prescott OPENBLAS_NUM_THREADS=1).
 """
 
 from __future__ import annotations

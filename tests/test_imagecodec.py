@@ -275,19 +275,75 @@ def test_embedding_identical_alone_and_in_block():
     assert n >= 200
 
 
-def test_toy_features_digest_matches_benchmark_record(monkeypatch):
+# Run in a child process so that OpenBLAS reads OPENBLAS_CORETYPE and
+# OPENBLAS_NUM_THREADS at load time.  argv: repo root, perfbench dir,
+# the core to pin.  Prints one JSON line: the core numpy's OpenBLAS
+# reports (None when its BLAS is not an OpenBLAS), its thread count, and
+# the digest, which is computed only under the pinned core on one thread.
+_PINNED_DIGEST_CHILD = """
+import ctypes, json, sys
+sys.path[:0] = sys.argv[1:3]
+from numpy.core import _multiarray_umath
+lib = ctypes.CDLL(_multiarray_umath.__file__)
+core = threads = None
+for suffix in ("64_", ""):
+    get_core = getattr(lib, "openblas_get_corename" + suffix, None)
+    if get_core is not None:
+        get_core.restype = ctypes.c_char_p
+        core = get_core().decode()
+        threads = getattr(lib, "openblas_get_num_threads" + suffix)()
+        break
+digest = None
+if core == sys.argv[3] and threads == 1:
+    import checks, workloads
+    digest = checks.derive_features_digest(workloads.multimodal_config(42, toy=True))
+print(json.dumps({"core": core, "threads": threads, "digest": digest}))
+"""
+
+
+def test_toy_features_digest_matches_benchmark_record():
     """The feature and embedding bits of the benchmark's toy multimodal
     crawl, recomputed through the kernels without Ray, equal the digest
     recorded in perfbench/expected.json: kernel drift fails here before
-    it fails the benchmark's output check."""
+    it fails the benchmark's output check.
+
+    The embedding's conv products and norm run through numpy's BLAS,
+    whose float32 bits depend on the sgemm kernel the library picks for
+    the CPU and on how many threads split the work.  The record holds
+    the values of OpenBLAS's Prescott kernel on one BLAS thread (the
+    benchmark's Ray workers each run one BLAS thread), so the replay
+    runs in a child process with OPENBLAS_CORETYPE=Prescott and
+    OPENBLAS_NUM_THREADS=1, which confirms both before it hashes.  The
+    test skips where numpy's BLAS is not an OpenBLAS that runs the
+    Prescott kernel when asked (another BLAS, or an OpenBLAS built
+    without DYNAMIC_ARCH or for another CPU family)."""
     import json
+    import os
+    import subprocess
+    import sys
     from pathlib import Path
 
-    bench = Path(__file__).resolve().parent.parent / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
-    import checks
-    import workloads
-
+    root = Path(__file__).resolve().parent.parent
+    bench = root / "perfbench"
     want = json.loads((bench / "expected.json").read_text())
     want = want["workloads"]["crawl-multimodal"]["toy"]["features_digest"]
-    assert checks.derive_features_digest(workloads.multimodal_config(42, toy=True)) == want
+    core = "Prescott"
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _PINNED_DIGEST_CHILD, str(root), str(bench), core],
+        env=env, cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    if got["core"] is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS (no openblas_get_corename symbol)")
+    if got["core"] != core:
+        pytest.skip(
+            f"numpy's OpenBLAS does not honour OPENBLAS_CORETYPE={core} "
+            f"(reports core {got['core']})"
+        )
+    assert got["threads"] == 1, f"OPENBLAS_NUM_THREADS=1 gave {got['threads']} BLAS threads"
+    assert got["digest"] == want, (
+        f"features digest under OpenBLAS core {got['core']} on 1 thread is "
+        f"{got['digest']}, expected.json records {want}"
+    )
