@@ -654,7 +654,7 @@ def _gram_df_topk(docs: rd.Dataset, top_k: int) -> tuple[np.ndarray, np.ndarray]
 def _prefix_postings(
     b: pd.DataFrame, threshold: float, heavy_grams: np.ndarray, heavy_df: np.ndarray
 ) -> pd.DataFrame:
-    """(doc_id, text) batch -> prefix postings (gram, doc_id, size).
+    """(doc_id, text) batch -> prefix postings (gram, doc_id, size, pos).
 
     Per doc with |G| distinct grams, emits the |G| - floor(t*|G|) + 1
     first grams under the global order (DF-ascending for broadcast
@@ -662,19 +662,23 @@ def _prefix_postings(
     ceil) keeps the prefix a token longer under float t — over-emission
     is safe, a short prefix is not.  One lexsort of the batch's
     _gram_table keys by (doc, DF, gram) ranks every doc's grams at once;
-    a gram's rank is its offset from its doc's start."""
+    a gram's rank is its offset from its doc's start, emitted as pos
+    for the positional filter."""
     _, sizes, starts, keys = _gram_table(np.arange(len(b)), b["text"].tolist())
     doc = (keys >> np.uint64(32)).astype(np.int64)
     g = keys & _LO32
     dfc, hit = _sorted_lookup(heavy_grams, heavy_df, g)
     order = np.lexsort((g, np.where(hit, dfc, 0), doc))
+    rank = np.arange(len(order)) - starts[doc[order]]
     p = np.minimum(sizes, sizes - (threshold * sizes).astype(np.int64) + 1)
-    sel = order[np.arange(len(order)) - starts[doc[order]] < p[doc[order]]]
+    kept = rank < p[doc[order]]
+    sel = order[kept]
     return pd.DataFrame(
         {
             "gram": g[sel].astype(np.int64),
             "doc_id": b["doc_id"].to_numpy(np.int64)[doc[sel]],
             "size": sizes[doc[sel]].astype(np.int64),
+            "pos": rank[kept],
         }
     )
 
@@ -682,53 +686,57 @@ def _prefix_postings(
 _PAIR_SLAB = 1024
 
 
-def _length_filtered(ii, jj, ids, szs, t_num, out_a, out_b) -> None:
-    lo = np.minimum(szs[ii], szs[jj])
-    hi = np.maximum(szs[ii], szs[jj])
-    keep = lo * 1_000_000 >= (t_num - 1) * hi
-    if keep.any():
-        out_a.append(np.minimum(ids[ii], ids[jj])[keep])
-        out_b.append(np.maximum(ids[ii], ids[jj])[keep])
-
-
 def _prefix_pairs_from_partition(g: pd.DataFrame, t_num: int) -> pd.DataFrame:
     """Candidate pairs of a co-located posting partition: docs sharing
-    a prefix gram, pruned by the length filter (jaccard >= t forces
-    min(|A|,|B|) >= t*max(|A|,|B|); compared in integer millionths
-    with one count of slack so float t never over-prunes).  No star
-    cap — q68's contract is the EXACT pair set, and DF-ascending
-    ordering keeps buckets small (a bucket only forms on a gram inside
-    both docs' rare-end prefixes).  A degenerate bucket still emits
-    ALL its pairs, but slab-blocked (the q32 pattern) so the index
-    temporaries are O(slab * m), never O(m^2) at once."""
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    for bucket in _iter_buckets(g, ["gram"]):
-        ids = bucket["doc_id"].to_numpy()
-        szs = bucket["size"].to_numpy()
-        m = len(ids)
-        if m <= _PAIR_SLAB:
-            ii, jj = np.triu_indices(m, k=1)
-            _length_filtered(ii, jj, ids, szs, t_num, out_a, out_b)
-            continue
-        for s in range(0, m, _PAIR_SLAB):
-            e = min(s + _PAIR_SLAB, m)
-            ii, jj = np.triu_indices(e - s, k=1)
-            _length_filtered(ii + s, jj + s, ids, szs, t_num, out_a, out_b)
-            if e < m:
-                ci = np.repeat(np.arange(s, e, dtype=np.int64), m - e)
-                cj = np.tile(np.arange(e, m, dtype=np.int64), e - s)
-                _length_filtered(ci, cj, ids, szs, t_num, out_a, out_b)
-    if not out_a:
-        return pd.DataFrame(
-            {"a": pd.Series([], dtype="int64"), "b": pd.Series([], dtype="int64")}
-        )
-    return pd.DataFrame(
-        {
-            "a": np.concatenate(out_a).astype(np.int64),
-            "b": np.concatenate(out_b).astype(np.int64),
-        }
-    )
+    a prefix gram, pruned by PPJoin's positional filter (Xiao et al.
+    WWW'08), in one numpy pass with no call per bucket.
+
+    Sorting by (gram, doc_id) makes each bucket a run of rows; a row
+    pairs with the c = bucket_end - row - 1 later rows of its run, so
+    repeat(rows, c) and an offset within each repeat enumerate every
+    in-bucket pair once.  Rows go in chunks of at most _PAIR_SLAB**2
+    pairs, or one row, so the index temporaries stay O(cap + m) even
+    for a degenerate bucket of width m.  No star cap — q68's contract
+    is the EXACT pair set, and DF-ascending ordering keeps buckets
+    small (a bucket only forms on a gram inside both docs' rare-end
+    prefixes).
+
+    Positional filter: at a shared gram of ranks pos_x and pos_y, the
+    overlap is at most ub = min(|x| - pos_x, |y| - pos_y) plus the
+    overlap before it, and jaccard >= t needs overlap >= t/(1+t) *
+    (|x| + |y|).  ub is an upper bound only at the pair's FIRST shared
+    gram, where the overlap before is 0 — but that gram lies inside
+    both prefixes (the prefix-filter guarantee), so it is emitted and
+    kept there; a later shared gram may prune its duplicate row, which
+    the downstream distinct absorbs.  Compared in integer millionths
+    with one count of slack (t_num - 1), which covers verify's round6
+    half-up keep rule.  ub <= min(|x|, |y|), so the test also enforces
+    the length filter min(|x|,|y|) >= t*max(|x|,|y|), to which it
+    reduces at pos 0."""
+    g = g.sort_values(["gram", "doc_id"], kind="mergesort")
+    gram = g["gram"].to_numpy()
+    ids = g["doc_id"].to_numpy(np.int64)
+    size = g["size"].to_numpy(np.int64)
+    rest = size - g["pos"].to_numpy(np.int64)
+    c = np.searchsorted(gram, gram, side="right") - np.arange(len(g)) - 1
+    ends = np.cumsum(c)
+    slack = t_num - 1
+    out_a, out_b = [ids[:0]], [ids[:0]]
+    lo = 0
+    while lo < len(g):
+        base = ends[lo] - c[lo]
+        hi = int(np.searchsorted(ends, base + _PAIR_SLAB * _PAIR_SLAB, side="right"))
+        hi = max(lo + 1, hi)
+        n = c[lo:hi]
+        ii = np.repeat(np.arange(lo, hi, dtype=np.int64), n)
+        first = np.repeat(ends[lo:hi] - n - base, n)  # row's first slot in the chunk
+        jj = ii + 1 + np.arange(len(ii)) - first
+        ub = np.minimum(rest[ii], rest[jj])
+        keep = ub * (1_000_000 + slack) >= slack * (size[ii] + size[jj])
+        out_a.append(ids[ii[keep]])
+        out_b.append(ids[jj[keep]])
+        lo = hi
+    return pd.DataFrame({"a": np.concatenate(out_a), "b": np.concatenate(out_b)})
 
 
 def prefix_filter_candidates(
@@ -771,13 +779,14 @@ def q68_ngram_jaccard_join(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
 
     Scale shape: one zero-shuffle DF pass (truncated per-block
     partials, bounded driver merge, O(k) broadcast), one postings
-    map_batches (each doc emits ~(1-t)|G|+1 grams), one coarse
-    32-way bucket shuffle with
-    length-filtered in-bucket pairing, then the shared adaptive
-    broadcast/join verify.  Partitioning assumption: collision-bucket
-    width stays << corpus because common grams sit at the order's tail
-    — corpora whose rare-gram tail is still ultra-dense need a larger
-    _DF_TOP_K.  Reference analog: extends the reference's exact
+    map_batches (each doc emits ~(1-t)|G|+1 grams with their ranks),
+    one coarse 32-way bucket shuffle whose partitions each emit all
+    their in-bucket pairs in one numpy pass, pruned by PPJoin's
+    positional filter (which implies the length filter), then the
+    shared adaptive broadcast/join verify.  Partitioning assumption:
+    collision-bucket width stays << corpus because common grams sit at
+    the order's tail — corpora whose rare-gram tail is still
+    ultra-dense need a larger _DF_TOP_K.  Reference analog: extends the reference's exact
     key-level merge-dedup (``data/s2processor.py:114-118``) from exact
     keys to near-duplicate text."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])

@@ -129,8 +129,10 @@ def test_prefix_candidates_superset_under_skew(tmp_path):
 
 
 def test_prefix_pair_slab_blocking_exact():
-    """A bucket wider than _PAIR_SLAB must emit the identical pair set
-    the whole-bucket triu form would (pure kernel, no Ray)."""
+    """A bucket wider than one emission chunk (_PAIR_SLAB**2 pairs) must
+    emit the identical pair set the whole-bucket triu form would (pure
+    kernel, no Ray).  Every posting is at pos 0, where the positional
+    bound reduces to the length filter."""
     rng = np.random.default_rng(0)
     m = int(dedup._PAIR_SLAB * 2.5)
     g = pd.DataFrame(
@@ -141,6 +143,7 @@ def test_prefix_pair_slab_blocking_exact():
                  np.arange(500, 540, dtype=np.int64)]
             ),
             "size": rng.integers(50, 200, m + 40).astype(np.int64),
+            "pos": np.zeros(m + 40, np.int64),
         }
     )
     t_num = 700_000
@@ -937,7 +940,7 @@ def test_prefix_postings_and_df_match_per_doc_reference():
     """The batch-vectorized _prefix_postings and _df_partials equal a
     per-doc scalar reference row for row: each doc's distinct grams
     ordered by (heavy-gram DF, gram), its first |G| - floor(t|G|) + 1
-    kept; with and without the heavy-gram table."""
+    kept with their ranks; with and without the heavy-gram table."""
     rng = np.random.Generator(np.random.PCG64(3))
     texts = [" ".join(rng.choice(WORDS[:6], size=int(k))) for k in rng.integers(3, 40, 40)]
     texts += ["", "alpha", "alpha bravo", "alpha bravo charlie alpha bravo charlie"]
@@ -957,6 +960,79 @@ def test_prefix_postings_and_df_match_per_doc_reference():
             for did, gs in zip(b["doc_id"], gsets):
                 p = min(len(gs), len(gs) - int(t * len(gs)) + 1)
                 pref = sorted(gs, key=lambda g: (df_of.get(g, 0), g))[:p]
-                want += [(g, did, len(gs)) for g in pref]
+                want += [(g, did, len(gs), r) for r, g in enumerate(pref)]
             got = dedup._prefix_postings(b, t, hg, hdf)
             assert list(got.itertuples(index=False, name=None)) == want
+
+
+def test_prefix_positional_filter_boundaries():
+    """_prefix_postings + _prefix_pairs_from_partition (no Ray) against
+    brute-force round6 jaccard and a per-gram scalar reference of the
+    positional filter, on boundary cases.  Docs are runs of a token
+    universe, so gram k is the trigram starting at token k, and the
+    heavy-gram table ranks gram k at DF k + 1: prefixes and positions
+    are known by construction."""
+    from fractions import Fraction
+
+    def run(s, e):  # the doc whose grams are k in [s, e)
+        return " ".join(f"u{k}" for k in range(s, e + 2))
+
+    universe = [dedup._shingle_hashes(run(k, k + 1))[0] for k in range(500)]
+    hg = np.array(universe, dtype=np.uint64)
+    order = np.argsort(hg)
+    hg, hdf = hg[order], (np.arange(500, dtype=np.int64) + 1)[order]
+    texts = {
+        10: run(0, 10), 11: run(0, 10),  # identical: later shared grams fail
+        20: run(100, 110), 21: run(103, 110),  # 7 of 10, shared at x's last prefix slot
+        30: run(200, 217), 31: run(203, 220),  # equal sizes, 14 of 20
+        40: run(300, 310), 41: run(301, 311),  # equal sizes, 9 of 11
+        50: run(400, 410), 51: run(403, 413),  # equal sizes, 7 of 13: not a pair
+        60: "alpha", 61: "alpha", 62: "bravo",  # one-token docs
+        70: "", 71: "",  # empty docs
+    }
+    b = pd.DataFrame({"doc_id": list(texts), "text": list(texts.values())})
+    df_of = dict(zip(hg.tolist(), hdf.tolist()))
+    for t in (0.5, 0.7, 0.9):
+        t_num = int(round(t * 1e6))
+        post = dedup._prefix_postings(b, t, hg, hdf).sample(frac=1, random_state=1)
+        got = dedup._prefix_pairs_from_partition(post, t_num)
+        cand = sorted(zip(got["a"], got["b"]))
+        rank, size = {}, {}
+        for did, text in texts.items():
+            gs = sorted(set(dedup._shingle_hashes(text).tolist()), key=lambda g: (df_of.get(g, 0), g))
+            p = min(len(gs), len(gs) - int(t * len(gs)) + 1)
+            rank[did], size[did] = {g: r for r, g in enumerate(gs[:p])}, len(gs)
+        # one row per shared prefix gram whose overlap bound can still
+        # reach t' = (t_num - 1) / 1e6: ub >= t' / (1 + t') * (|x| + |y|)
+        slack = Fraction(t_num - 1, 10**6)
+        want, truth = [], set()
+        for x, y in itertools.combinations(sorted(texts), 2):
+            for g in rank[x].keys() & rank[y].keys():
+                ub = min(size[x] - rank[x][g], size[y] - rank[y][g])
+                if ub >= slack / (1 + slack) * (size[x] + size[y]):
+                    want.append((x, y))
+            if dedup._round6_half_up(dedup.ngram_jaccard(texts[x], texts[y])) >= t:
+                truth.add((x, y))
+        assert cand == sorted(want)
+        assert truth <= set(cand)
+        if t == 0.7:
+            assert truth == {(10, 11), (20, 21), (30, 31), (40, 41), (60, 61), (70, 71)}
+            # first shared grams pass, later ones fail: grams 0,1 of 0..3
+            # and gram 203 of 203..206
+            assert cand.count((10, 11)) == 2 and cand.count((30, 31)) == 1
+            # 50/51 share prefix gram 403 and pass the length filter
+            # (equal sizes), but its bound 7 < 0.7/1.7 * 20
+            assert universe[403] in rank[50].keys() & rank[51].keys()
+            assert size[50] == size[51] and (50, 51) not in cand
+    # only the one-millionth slack keeps this pair: y is x's tail, so
+    # the bound at their first shared gram is |y| = 140,002, short of
+    # 0.7 * |x| = 140,002.1, yet round6(|y| / |x|) = 0.7
+    x = " ".join(f"v{k}" for k in range(200_010))
+    y = " ".join(f"v{k}" for k in range(60_004, 200_010))
+    gx, gy = (set(dedup._shingle_hashes(s).tolist()) for s in (x, y))
+    assert (len(gx), len(gy)) == (200_003, 140_002) and gy <= gx
+    assert dedup._round6_half_up(dedup.ngram_jaccard(x, y)) == 0.7
+    b = pd.DataFrame({"doc_id": [1, 2], "text": [x, y]})
+    empty = (np.zeros(0, np.uint64), np.zeros(0, np.int64))
+    got = dedup._prefix_pairs_from_partition(dedup._prefix_postings(b, 0.7, *empty), 700_000)
+    assert (1, 2) in set(zip(got["a"], got["b"]))
