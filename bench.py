@@ -2,8 +2,8 @@
 
 Headline: the crawl engine (frontier -> politeness admission -> fetch
 -> decode-verify -> payload sink -> link discovery -> seen filter) at
-a scale derived from $GRAFT_SF_DIR, plus per-query timings of the
-relational / text / ANN / dedup pipelines.
+a scale derived from $GRAFT_SF_DIR, plus the wall time of every
+``__ray_entry__.queries()`` entry.
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
@@ -69,9 +69,6 @@ def run_bench() -> dict:
 
     from cs_insights_crawler_ray.fixtures.content_store import ContentStoreConfig
     from cs_insights_crawler_ray.pipelines.crawl import CrawlConfig, run_crawl
-    from cs_insights_crawler_ray.pipelines import (
-        ann, cdc, cluster, crawl_queries, curation, dedup, diff, graph,
-        mlprep, relational as R, retrieval, textops)
 
     # warm the page cache so we measure compute + shuffle, not cold reads
     import pyarrow.parquet as pq
@@ -153,79 +150,10 @@ def run_bench() -> dict:
             _ds.materialize()
         results["ingest"] = round(time.perf_counter() - t0, 3)
 
-        timed("q01_pricing_summary", R.q01_pricing_summary)
-        timed("q05_semi_join", R.q05_semi_join)
-        timed("q07_outer_merge", R.q07_outer_merge)
-        timed("q10_dedup_exact", R.q10_dedup_exact)
-        timed("q12_window_agg", R.q12_window_agg)
-        timed("q13_token_stats", textops.q13_token_stats)
-        timed("q14_quality_scores", textops.q14_quality_scores)
-        timed("q15_ann_brute", ann.q15_ann_brute)
-        timed("q17_minhash_dedup", dedup.q17_minhash_dedup)
-        timed("q68_ngram_jaccard_join", dedup.q68_ngram_jaccard_join)
-        timed("q21_revenue_by_nation", R.q21_revenue_by_nation)
-        timed("q42_hopping_window", R.q42_hopping_window)
-        timed("q52_range_join", R.q52_range_join)
-        timed("q53_rolling_window", R.q53_rolling_window)
-        timed("q44_parts_rollup", R.q44_parts_rollup)
-        timed("q35_count_distinct", R.q35_count_distinct)
-        # round-3 training-data prep family (q46 includes the
-        # iterative k-means fit; q47 reuses it via the fit cache)
-        timed("q46_kmeans", cluster.q46_kmeans)
-        timed("q47_semantic_dedup", cluster.q47_semantic_dedup)
-        timed("q48_grouped_quantiles", mlprep.q48_grouped_quantiles)
-        timed("q49_tfidf_top_terms", mlprep.q49_tfidf_top_terms)
-        timed("q50_stratified_sample", mlprep.q50_stratified_sample)
-        timed("q51_shard_export", mlprep.q51_shard_export)
-        timed("q56_pagerank", graph.q56_pagerank)
-        timed("q57_sequence_pack", mlprep.q57_sequence_pack)
-        timed("q58_heavy_hitters", mlprep.q58_heavy_hitters)
-        timed("q59_release_diff", diff.q59_release_diff)
-        timed("q60_token_budget_select", mlprep.q60_token_budget_select)
-        timed("q61_decontaminate", dedup.q61_decontaminate)
-        timed("q62_repetition_filter", textops.q62_repetition_filter)
-        timed("q64_dup_spans", dedup.q64_dup_spans)
-        timed("q65_inverted_index", mlprep.q65_inverted_index)
-        timed("q66_pq_ann", ann.q66_pq_ann)
-        # round-4 additions: retrieval / fingerprints / storage dedup /
-        # sequence + window ops / corpus stats / feature prep
-        timed("q71_bm25_topk", retrieval.q71_bm25_topk)
-        timed("q72_winnowing", textops.q72_winnowing)
-        timed("q73_cdc_dedup", cdc.q73_cdc_dedup)
-        timed("q75_funnel_conversion", R.q75_funnel_conversion)
-        timed("q76_bigram_coverage", textops.q76_bigram_coverage)
-        timed("q78_window_distinct_users", R.q78_window_distinct_users)
-        timed("q79_simpson_diversity", textops.q79_simpson_diversity)
-        timed("q80_pmi_collocations", textops.q80_pmi_collocations)
-        timed("q81_winsorize_values", R.q81_winsorize_values)
-        timed("q82_mad_outliers", R.q82_mad_outliers)
-        timed("q83_keep_latest", R.q83_keep_latest)
-        timed("q84_shuffle_order", mlprep.q84_shuffle_order)
-        timed("q85_context_chunks", textops.q85_context_chunks)
-        timed("q86_retention_cohorts", R.q86_retention_cohorts)
-        timed("q87_gap_quantiles", R.q87_gap_quantiles)
-        timed("q88_centroid_outliers", cluster.q88_centroid_outliers)
-        timed("q89_mask_terms", textops.q89_mask_terms)
-        timed("q90_nearest_centroid", cluster.q90_nearest_centroid)
-        timed("q91_behavior_trigrams", R.q91_behavior_trigrams)
-        timed("q92_source_drift", textops.q92_source_drift)
-        timed("q93_cross_source_dups", R.q93_cross_source_dups)
-        timed("q94_knn_graph", ann.q94_knn_graph)
-        timed("q94b_ivf_knn_graph", ann.q94b_ivf_knn_graph)
-        timed("q95_rule_hits", textops.q95_rule_hits)
-        timed("q96_filter_funnel", textops.q96_filter_funnel)
-        timed("q97_kmv_distinct", R.q97_kmv_distinct)
-        timed("q98_host_fetch_rollup", crawl_queries.q98_host_fetch_rollup)
-        timed("q99_rollup_aggregate", R.q99_rollup_aggregate)
-        timed("q100_table_checksum", R.q100_table_checksum)
-        timed("q101_pca_power", cluster.q101_pca_power)
-        timed("q102_model_score", textops.q102_model_score)
-        timed("q103_contrastive_triplets", ann.q103_contrastive_triplets)
-        timed("q104_source_cap", mlprep.q104_source_cap)
-        # round-5: the composed end-to-end curation chain (gates →
-        # exact+near dedup → decontaminate → budget select → shards)
-        timed("q105_curation_pipeline", curation.q105_curation_pipeline)
-        timed("q106_rag_context", retrieval.q106_rag_context)
+        import __ray_entry__
+
+        for name, fn in __ray_entry__.queries().items():
+            timed(name, fn)
 
     ray.shutdown()
 

@@ -348,43 +348,65 @@ def _add_part(b: pd.DataFrame, key_cols: list[str]) -> pd.DataFrame:
     return b.assign(part=(h % np.uint64(_N_BUCKET_PARTS)).astype(np.int32))
 
 
-def _iter_buckets(d: pd.DataFrame, key_cols: list[str]):
-    """Yield the size>=2 buckets of an already-co-located partition.
-    Sort once, find run boundaries with numpy, slice only the buckets
-    that can produce pairs — the loop is over actual collision buckets
-    (near-dup density), not the corpus."""
-    d = d.sort_values(key_cols + ["doc_id"], kind="mergesort").reset_index(drop=True)
-    keys = d[key_cols].to_numpy()
-    if len(d) == 0:
+_PAIR_SLAB = 1024  # a pair chunk holds at most _PAIR_SLAB**2 pairs
+
+
+def _bucket_pairs(keys: np.ndarray, star: int | None = None, widest: int | None = None):
+    """Every in-bucket row pair of a partition SORTED by ``keys`` (1-D,
+    or 2-D with one column per key part), in one numpy pass with no
+    call per bucket (Xiao et al. WWW'08's run enumeration).  The one
+    pair-emission kernel of every bucket self-join in this module.
+
+    Each bucket is a run of rows; a row pairs with the c = run_end -
+    row - 1 later rows of its run, so repeat(rows, c) and an offset
+    within each repeat enumerate every in-bucket pair once, as (i, j)
+    row-index arrays with i < j.  Rows go in chunks of at most
+    _PAIR_SLAB**2 pairs, or one row, so the index temporaries stay
+    O(cap + m) even for a degenerate bucket of width m.
+
+    Runs wider than ``widest`` emit nothing; runs wider than ``star``
+    emit STAR pairs, the run's first row with each other row
+    (_STAR_BUCKET_SIZE says why).  Callers mask each chunk."""
+    n = len(keys)
+    if n == 0:
         return
-    change = np.any(keys[1:] != keys[:-1], axis=1)
-    bounds = np.concatenate([[0], np.flatnonzero(change) + 1, [len(d)]])
-    sizes = np.diff(bounds)
-    for bi in np.flatnonzero(sizes >= 2):
-        yield d.iloc[bounds[bi] : bounds[bi + 1]]
+    change = keys[1:] != keys[:-1]
+    if change.ndim > 1:
+        change = change.any(axis=1)
+    head = np.flatnonzero(np.concatenate([[True], change]))
+    width = np.diff(np.append(head, n))
+    c = np.repeat(head + width, width) - np.arange(n) - 1
+    if widest is not None:
+        c[np.repeat(width > widest, width)] = 0
+    if star is not None:
+        wide = width > star
+        c[np.repeat(wide, width)] = 0
+        c[head[wide]] = width[wide] - 1
+    ends = np.cumsum(c)
+    lo = 0
+    while lo < n:
+        base = ends[lo] - c[lo]
+        hi = int(np.searchsorted(ends, base + _PAIR_SLAB * _PAIR_SLAB, side="right"))
+        hi = max(lo + 1, hi)
+        k = c[lo:hi]
+        ii = np.repeat(np.arange(lo, hi, dtype=np.int64), k)
+        first = np.repeat(ends[lo:hi] - k - base, k)  # row's first slot in the chunk
+        yield ii, ii + 1 + np.arange(len(ii)) - first
+        lo = hi
 
 
 def _pairs_from_partition(g: pd.DataFrame) -> pd.DataFrame:
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    for bucket in _iter_buckets(g, ["band_id", "band_hash"]):
-        ids = np.unique(bucket["doc_id"].to_numpy())
-        if len(ids) < 2:
-            continue
-        if len(ids) > _STAR_BUCKET_SIZE:
-            out_a.append(np.full(len(ids) - 1, ids[0]))
-            out_b.append(ids[1:])
-        else:
-            ii, jj = np.triu_indices(len(ids), k=1)
-            out_a.append(ids[ii])
-            out_b.append(ids[jj])
-    if not out_a:
-        return pd.DataFrame(
-            {"a": pd.Series([], dtype="int64"), "b": pd.Series([], dtype="int64")}
-        )
-    return pd.DataFrame(
-        {"a": np.concatenate(out_a).astype(np.int64), "b": np.concatenate(out_b).astype(np.int64)}
-    )
+    """MinHash band buckets -> (a < b) pairs; a doc repeated in one
+    bucket counts once, buckets wider than _STAR_BUCKET_SIZE emit star
+    pairs."""
+    cols = ["band_id", "band_hash", "doc_id"]
+    g = g.drop_duplicates(cols).sort_values(cols, kind="mergesort")
+    ids = g["doc_id"].to_numpy(np.int64)
+    out_a, out_b = [ids[:0]], [ids[:0]]
+    for ii, jj in _bucket_pairs(g[cols[:2]].to_numpy(), star=_STAR_BUCKET_SIZE):
+        out_a.append(ids[ii])
+        out_b.append(ids[jj])
+    return pd.DataFrame({"a": np.concatenate(out_a), "b": np.concatenate(out_b)})
 
 
 def _distinct_pairs(pairs: rd.Dataset) -> rd.Dataset:
@@ -683,23 +705,13 @@ def _prefix_postings(
     )
 
 
-_PAIR_SLAB = 1024
-
-
 def _prefix_pairs_from_partition(g: pd.DataFrame, t_num: int) -> pd.DataFrame:
     """Candidate pairs of a co-located posting partition: docs sharing
-    a prefix gram, pruned by PPJoin's positional filter (Xiao et al.
-    WWW'08), in one numpy pass with no call per bucket.
-
-    Sorting by (gram, doc_id) makes each bucket a run of rows; a row
-    pairs with the c = bucket_end - row - 1 later rows of its run, so
-    repeat(rows, c) and an offset within each repeat enumerate every
-    in-bucket pair once.  Rows go in chunks of at most _PAIR_SLAB**2
-    pairs, or one row, so the index temporaries stay O(cap + m) even
-    for a degenerate bucket of width m.  No star cap — q68's contract
-    is the EXACT pair set, and DF-ascending ordering keeps buckets
-    small (a bucket only forms on a gram inside both docs' rare-end
-    prefixes).
+    a prefix gram (_bucket_pairs over the (gram, doc_id) sort), pruned
+    by PPJoin's positional filter (Xiao et al. WWW'08).  No star cap —
+    q68's contract is the EXACT pair set, and DF-ascending ordering
+    keeps buckets small (a bucket only forms on a gram inside both
+    docs' rare-end prefixes).
 
     Positional filter: at a shared gram of ranks pos_x and pos_y, the
     overlap is at most ub = min(|x| - pos_x, |y| - pos_y) plus the
@@ -714,28 +726,16 @@ def _prefix_pairs_from_partition(g: pd.DataFrame, t_num: int) -> pd.DataFrame:
     the length filter min(|x|,|y|) >= t*max(|x|,|y|), to which it
     reduces at pos 0."""
     g = g.sort_values(["gram", "doc_id"], kind="mergesort")
-    gram = g["gram"].to_numpy()
     ids = g["doc_id"].to_numpy(np.int64)
     size = g["size"].to_numpy(np.int64)
     rest = size - g["pos"].to_numpy(np.int64)
-    c = np.searchsorted(gram, gram, side="right") - np.arange(len(g)) - 1
-    ends = np.cumsum(c)
     slack = t_num - 1
     out_a, out_b = [ids[:0]], [ids[:0]]
-    lo = 0
-    while lo < len(g):
-        base = ends[lo] - c[lo]
-        hi = int(np.searchsorted(ends, base + _PAIR_SLAB * _PAIR_SLAB, side="right"))
-        hi = max(lo + 1, hi)
-        n = c[lo:hi]
-        ii = np.repeat(np.arange(lo, hi, dtype=np.int64), n)
-        first = np.repeat(ends[lo:hi] - n - base, n)  # row's first slot in the chunk
-        jj = ii + 1 + np.arange(len(ii)) - first
+    for ii, jj in _bucket_pairs(g["gram"].to_numpy()):
         ub = np.minimum(rest[ii], rest[jj])
         keep = ub * (1_000_000 + slack) >= slack * (size[ii] + size[jj])
         out_a.append(ids[ii[keep]])
         out_b.append(ids[jj[keep]])
-        lo = hi
     return pd.DataFrame({"a": np.concatenate(out_a), "b": np.concatenate(out_b)})
 
 
@@ -891,6 +891,31 @@ def q22_simhash(sf_dir: str) -> rd.Dataset:
     )
 
 
+def _hamming_pairs_from_partition(
+    g: pd.DataFrame, max_hamming: int, star_cap: int | None, id_dtype: str
+) -> pd.DataFrame:
+    """Band buckets of (doc_id, _h) rows -> (a < b, hamming) pairs
+    within max_hamming; a repeated (doc_id, _h) row counts once."""
+    cols = ["band_id", "band_hash", "doc_id", "_h"]
+    g = g.drop_duplicates(cols).sort_values(cols, kind="mergesort")
+    ids = g["doc_id"].to_numpy()
+    hs = g["_h"].to_numpy(np.int64).astype(np.uint64)
+    out_a, out_b, out_d = [ids[:0]], [ids[:0]], [np.zeros(0, np.int64)]
+    for ii, jj in _bucket_pairs(g[cols[:2]].to_numpy(), star=star_cap):
+        d = _popcount64(hs[ii] ^ hs[jj])
+        keep = (d <= max_hamming) & (ids[ii] != ids[jj])
+        out_a.append(ids[ii[keep]])
+        out_b.append(ids[jj[keep]])
+        out_d.append(d[keep])
+    return pd.DataFrame(
+        {
+            "a": pd.Series(np.concatenate(out_a), dtype=id_dtype),
+            "b": pd.Series(np.concatenate(out_b), dtype=id_dtype),
+            "hamming": pd.Series(np.concatenate(out_d), dtype="int64"),
+        }
+    )
+
+
 def hamming_near_dup_pairs(
     ds: rd.Dataset,
     id_col: str,
@@ -910,11 +935,11 @@ def hamming_near_dup_pairs(
     Bucket-local verification is numpy end to end (VERDICT r02 #3: the
     previous per-pair Python loop with bin().count('1') would run
     ~1.25B iterations on one 50k-image degenerate bucket): XOR over
-    triu index pairs + 16-bit-table popcount.  Buckets larger than
-    ``star_cap`` emit STAR pairs (min-id x member, hamming-filtered)
-    instead of all O(k^2) combinations — same cap and rationale as the
-    MinHash path (_STAR_BUCKET_SIZE): connectivity for dup-group
-    formation is preserved at O(k); pass ``star_cap=None`` for the
+    the _bucket_pairs chunks + 16-bit-table popcount.  Buckets larger
+    than ``star_cap`` emit STAR pairs (min-id x member, hamming-
+    filtered) instead of all O(k^2) combinations — same cap and
+    rationale as the MinHash path (_STAR_BUCKET_SIZE): connectivity
+    for dup-group formation is preserved at O(k); pass ``star_cap=None`` for the
     exact all-pairs listing (what the q32 brute-force oracle checks —
     at crawl-payload scale phash buckets are duplicate clusters, so
     the star's hamming filter loses only members far from the
@@ -937,87 +962,21 @@ def hamming_near_dup_pairs(
             )
         return pd.concat(rows, ignore_index=True)
 
-    _PAIR_SLAB_ELEMS = 1 << 22  # ~4M XOR cells/slab ≈ 32 MB of temps
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out_a, out_b, out_d = [], [], []
-        for bucket in _iter_buckets(g, ["band_id", "band_hash"]):
-            dfu = bucket.drop_duplicates(["doc_id", "_h"]).sort_values("doc_id")
-            ids = dfu["doc_id"].to_numpy()
-            hs = dfu["_h"].to_numpy().astype(np.int64).astype(np.uint64)
-            n = len(ids)
-            if n < 2:
-                continue
-            if star_cap is not None and n > star_cap:
-                d = _popcount64(hs[0] ^ hs[1:])
-                keep = (d <= max_hamming) & (ids[1:] != ids[0])
-                out_a.append(np.repeat(ids[0], int(keep.sum())))
-                out_b.append(ids[1:][keep])
-                out_d.append(d[keep])
-            else:
-                # exact all-pairs, slab-blocked: np.triu_indices(n)
-                # alone is two O(n^2) int64 arrays (~20 GB at n=50k,
-                # the degenerate duplicate-cluster bucket) — instead
-                # XOR a bounded slab of rows against the full bucket
-                # per step, so peak temp memory is O(step*n) elements
-                # regardless of bucket size.  Same pair set.
-                step = max(1, _PAIR_SLAB_ELEMS // n)
-                col = np.arange(n)
-                for s in range(0, n - 1, step):
-                    e = min(s + step, n)
-                    d = _popcount64(hs[s:e, None] ^ hs[None, :])
-                    keep = (
-                        (d <= max_hamming)
-                        & (col[None, :] > np.arange(s, e)[:, None])
-                        & (ids[s:e, None] != ids[None, :])
-                    )
-                    ii, jj = np.nonzero(keep)
-                    out_a.append(ids[s + ii])
-                    out_b.append(ids[jj])
-                    out_d.append(d[ii, jj])
-        if not out_a:
-            return pd.DataFrame(
-                {
-                    "a": pd.Series([], dtype=id_dtype),
-                    "b": pd.Series([], dtype=id_dtype),
-                    "hamming": pd.Series([], dtype="int64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "a": pd.Series(np.concatenate(out_a), dtype=id_dtype),
-                "b": pd.Series(np.concatenate(out_b), dtype=id_dtype),
-                "hamming": pd.Series(np.concatenate(out_d), dtype="int64"),
-            }
-        )
-
     from ray.data.aggregate import Min
 
     return (
         ds.map_batches(explode_bands, batch_format="pandas")
         .map_batches(lambda b: _add_part(b, ["band_id", "band_hash"]), batch_format="pandas")
         .groupby("part")
-        .map_groups(pairs, batch_format="pandas")
+        .map_groups(
+            lambda g: _hamming_pairs_from_partition(g, max_hamming, star_cap, id_dtype),
+            batch_format="pandas",
+        )
         # distinct (a, b) via hash aggregate — hamming is identical
         # across the bands a pair collides in, so Min just keeps it
         .groupby(["a", "b"])
         .aggregate(Min("hamming", alias_name="hamming"))
     )
-
-
-def simhash_near_dup_pairs(docs: rd.Dataset, max_hamming: int = 3) -> rd.Dataset:
-    """Near-dup pairs by simhash banding (see hamming_near_dup_pairs)."""
-
-    def sketch(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": b["doc_id"].astype("int64"),
-                "simhash": simhash64_batch(b["text"].tolist()),
-            }
-        )
-
-    sketched = docs.map_batches(sketch, batch_format="pandas")
-    return hamming_near_dup_pairs(sketched, "doc_id", "simhash", max_hamming)
 
 
 # ---------------------------------------------------------------------------
@@ -1622,14 +1581,31 @@ def q61_decontaminate_exact(sf_dir: str, eval_mod: int = 97) -> rd.Dataset:
 # Scale shape: per-doc distinct window strings emit as (g, doc_id)
 # rows, co-located by crc32(g) coarse partition (every row of a gram
 # lands in ONE partition, so the DF prune is exact per partition);
-# pair expansion is numpy triu per gram; per-pair counts pack into
-# one int64 key and cross a second coarse grouped-sum.  Window
-# STRINGS keep the SQL oracle exact; at 100 TB you'd switch to the
-# rolling 64-bit window hashes (_batch_gram_hashes with n=W) — same
-# trade as q61, with this form as the correctness anchor.
+# every partition's pairs come from one _bucket_pairs pass over its
+# (g, doc_id) sort; per-pair counts pack into one int64 key and
+# cross a second coarse grouped-sum.  Window STRINGS keep the SQL
+# oracle exact; at 100 TB you'd switch to the rolling 64-bit window
+# hashes (_batch_gram_hashes with n=W) — same trade as q61, with this
+# form as the correctness anchor.
 # ---------------------------------------------------------------------------
 SPAN_W = 8
 SPAN_MAX_DF = 20
+
+
+def _span_pairs_from_partition(part: pd.DataFrame, max_df: int) -> pd.DataFrame:
+    """(g, doc_id) window rows -> packed (a << 32 | b) pair keys with
+    their count of shared windows in this partition.  Windows in more
+    than max_df docs emit nothing (the DF prune is exact: a window's
+    rows are whole in one partition)."""
+    s = part.sort_values(["g", "doc_id"], kind="mergesort")
+    d = s["doc_id"].to_numpy(np.int64)
+    if len(d) and int(d.max()) >= 1 << 31:
+        raise ValueError("q64: doc_id exceeds the 31-bit pair-pack range")
+    keys = [d[:0]]
+    for i, j in _bucket_pairs(s["g"].to_numpy(), widest=max_df):
+        keys.append((d[i] << np.int64(32)) | d[j])
+    c = pd.Series(np.concatenate(keys)).value_counts()
+    return pd.DataFrame({"k": c.index.to_numpy(np.int64), "n": c.to_numpy(np.int64)})
 
 
 def q64_dup_spans(
@@ -1653,29 +1629,11 @@ def q64_dup_spans(
         ) if len(out) else np.array([], dtype=np.int32)
         return out
 
-    def pairs_in_part(part: pd.DataFrame) -> pd.DataFrame:
-        keys: list[np.ndarray] = []
-        s = part.sort_values(["g", "doc_id"], kind="mergesort")
-        if len(s) and int(s["doc_id"].max()) >= 1 << 31:
-            raise ValueError("q64: doc_id exceeds the 31-bit pair-pack range")
-        for _, grp in s.groupby("g", sort=False):
-            d = grp["doc_id"].to_numpy(np.int64)
-            if len(d) < 2 or len(d) > max_df:  # DF prune (exact: gram
-                continue                       # is whole in this part)
-            i, j = np.triu_indices(len(d), k=1)
-            keys.append((d[i] << np.int64(32)) | d[j])
-        if not keys:
-            return pd.DataFrame({"k": np.array([], np.int64),
-                                 "n": np.array([], np.int64)})
-        c = pd.Series(np.concatenate(keys)).value_counts()
-        return pd.DataFrame({"k": c.index.to_numpy(np.int64),
-                             "n": c.to_numpy(np.int64)})
-
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     pair_parts = (
         docs.map_batches(windows, batch_format="pandas")
         .groupby("_part")
-        .map_groups(pairs_in_part, batch_format="pandas")
+        .map_groups(lambda p: _span_pairs_from_partition(p, max_df), batch_format="pandas")
     )
     summed = _grouped_sum_parts(pair_parts, "k", {"n": "n"})
     return summed.map_batches(

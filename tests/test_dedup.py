@@ -5,6 +5,7 @@ none, by construction of its random generators)."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -237,16 +238,6 @@ def test_dedup_corpus_keeps_one_per_group(neardup_dir):
     a = got.sort_values("doc_id").reset_index(drop=True)
     b = forced.sort_values("doc_id").reset_index(drop=True)[a.columns]
     pd.testing.assert_frame_equal(a, b)
-
-
-def test_simhash_neardup_pairs(neardup_dir):
-    docs = rd.read_parquet(f"{neardup_dir}/documents.parquet")
-    pairs = dedup.simhash_near_dup_pairs(docs, max_hamming=3).to_pandas()
-    got = set(zip(pairs["a"], pairs["b"]))
-    # the exact dup pair must be found (hamming 0) — banding is exhaustive for <= 3
-    assert (0, 40) in got
-    for _, r in pairs.iterrows():
-        assert r["hamming"] <= 3
 
 
 def test_embedding_neardup_vs_bruteforce(neardup_dir):
@@ -500,6 +491,124 @@ def test_hamming_vectorized_matches_naive_all_pairs():
         if d <= 3 and share:
             want.add((i, j, d))
     assert got_set == want and want  # fixture must produce pairs
+
+
+# Bucket rows (key, doc_id, hash) per case, and the pair cap per chunk
+# (_PAIR_SLAB; None keeps the module's).  A hash of (1 << r) - 1 sets
+# the r low bits, so two such hashes differ in |r1 - r2| bits.
+_PIN_CASES = {
+    "empty": ([], None),
+    "singletons": ([(0, 1, 0), (1, 2, 0), (4, 3, 0)], None),
+    "wider_than_chunk": (
+        [(5, d, (1 << (d % 5)) - 1) for d in range(40)] + [(6, 1, 0), (6, 2, 0)], 3
+    ),
+    "star_256": ([(3, d, (1 << (d % 5)) - 1) for d in range(256)], None),
+    "star_257": ([(3, d, (1 << (d % 5)) - 1) for d in range(257)], None),
+    "dup_doc_id": ([(0, 7, 0), (0, 7, 0), (0, 7, 1), (0, 3, 0), (0, 9, 2)], None),
+    "two_bands": ([(0, 1, 0), (0, 2, 0), (1, 1, 0), (1, 2, 0), (1, 3, 15)], None),
+    "hamming_k_and_k_plus_1": ([(0, 1, 0), (0, 2, 7), (0, 3, 15), (0, 4, -1)], None),
+    "df_20_and_21": ([(0, d, 0) for d in range(20)] + [(1, d, 0) for d in range(21)], None),
+}
+_PIN_CALLERS = ["q17", "prefix", "hamming_star", "hamming_exact_str_ids", "q64"]
+_PIN_T_NUM, _PIN_MAX_HAMMING, _PIN_MAX_DF = 700_000, 3, 20
+
+
+def _pin_size(d):
+    return 8 + d % 13
+
+
+def _pin_pos(d):
+    return d % 3
+
+
+def _pin_reference(caller, rows):
+    """Scalar per-bucket all-pairs reference for each caller's rule."""
+    buckets: dict[int, list] = {}
+    for key, d, h in rows:
+        buckets.setdefault(key, []).append((d, h))
+    out = Counter()
+    for members in buckets.values():
+        if caller == "q17":
+            ids = sorted({d for d, _ in members})
+            if len(ids) > dedup._STAR_BUCKET_SIZE:
+                out.update((ids[0], x) for x in ids[1:])
+            else:
+                out.update(itertools.combinations(ids, 2))
+        elif caller == "prefix":
+            slack = _PIN_T_NUM - 1
+            for (a, _), (b, _) in itertools.combinations(sorted(members), 2):
+                ub = min(_pin_size(a) - _pin_pos(a), _pin_size(b) - _pin_pos(b))
+                if ub * (1_000_000 + slack) >= slack * (_pin_size(a) + _pin_size(b)):
+                    out[(a, b)] += 1
+        elif caller == "q64":
+            ids = sorted(d for d, _ in members)
+            if len(ids) <= _PIN_MAX_DF:
+                out.update(itertools.combinations(ids, 2))
+        else:
+            m = sorted(set(members))
+            if caller == "hamming_star" and len(m) > dedup._STAR_BUCKET_SIZE:
+                combos = [(m[0], x) for x in m[1:]]
+            else:
+                combos = itertools.combinations(m, 2)
+            for (a, ha), (b, hb) in combos:
+                dist = bin((ha ^ hb) & ((1 << 64) - 1)).count("1")
+                if dist <= _PIN_MAX_HAMMING and a != b:
+                    out[(a, b, dist)] += 1
+    if caller == "hamming_exact_str_ids":
+        return Counter({(f"d{a:04d}", f"d{b:04d}", h): n for (a, b, h), n in out.items()})
+    return out
+
+
+def _pin_kernel(caller, rows):
+    """Run the caller's partition kernel on the case rows (no Ray)."""
+    key = np.array([r[0] for r in rows], np.int64)
+    doc = np.array([r[1] for r in rows], np.int64)
+    h = np.array([r[2] for r in rows], np.int64)
+    if caller == "q17":
+        got = dedup._pairs_from_partition(
+            pd.DataFrame({"doc_id": doc, "band_id": (key % 4).astype(np.int32),
+                          "band_hash": key // 4})
+        )
+        return Counter(zip(got["a"], got["b"]))
+    if caller == "prefix":
+        got = dedup._prefix_pairs_from_partition(
+            pd.DataFrame({"gram": key, "doc_id": doc, "size": _pin_size(doc),
+                          "pos": _pin_pos(doc)}),
+            _PIN_T_NUM,
+        )
+        return Counter(zip(got["a"], got["b"]))
+    if caller == "q64":
+        got = dedup._span_pairs_from_partition(
+            pd.DataFrame({"g": pd.Series([f"w{k}" for k in key], dtype="object"),
+                          "doc_id": doc}),
+            _PIN_MAX_DF,
+        )
+        return Counter(
+            {(k >> 32, k & 0xFFFFFFFF): n for k, n in zip(got["k"], got["n"])}
+        )
+    str_ids = caller == "hamming_exact_str_ids"
+    ids = pd.Series([f"d{d:04d}" for d in doc], dtype="object") if str_ids else doc
+    got = dedup._hamming_pairs_from_partition(
+        pd.DataFrame({"doc_id": ids, "_h": h, "band_id": (key % 4).astype(np.int32),
+                      "band_hash": key // 4}),
+        _PIN_MAX_HAMMING,
+        None if str_ids else dedup._STAR_BUCKET_SIZE,
+        "object" if str_ids else "int64",
+    )
+    return Counter(zip(got["a"], got["b"], got["hamming"]))
+
+
+@pytest.mark.parametrize("caller", _PIN_CALLERS)
+@pytest.mark.parametrize("case", list(_PIN_CASES))
+def test_bucket_pair_kernels_match_scalar_reference(caller, case, monkeypatch):
+    """Every bucket self-join's partition kernel (q17 bands, the q68
+    prefix filter, the q32/q63 hamming path with and without the star
+    cap, q64 spans) emits exactly the pair multiset a per-bucket
+    itertools.combinations loop does, on boundary buckets."""
+    rows, slab = _PIN_CASES[case]
+    if slab is not None:
+        monkeypatch.setattr(dedup, "_PAIR_SLAB", slab)
+    assert _pin_kernel(caller, rows) == _pin_reference(caller, rows)
 
 
 def test_pair_jaccards_bit_identical_to_scalar():

@@ -169,12 +169,11 @@ def test_fingerprint64_batch_matches_pure_python(docs):
     slab=st.integers(1, 7),
 )
 def test_slab_blocked_allpairs_equals_brute(hashes, max_h, slab):
-    """The slab-blocked exact all-pairs expansion emits exactly the
-    brute-force pair set regardless of slab width (the memory-bound
-    path q32 takes with star_cap=None)."""
+    """The chunked exact all-pairs expansion of one hamming bucket
+    emits exactly the brute-force pair set regardless of the chunk cap
+    (_PAIR_SLAB**2 pairs; the path q32 takes with star_cap=None)."""
     from cs_insights_crawler_ray.pipelines import dedup as D
 
-    ids = np.arange(len(hashes), dtype=np.int64)
     hs = np.array(hashes, dtype=np.int64).astype(np.uint64)
     # brute reference
     want = set()
@@ -183,21 +182,16 @@ def test_slab_blocked_allpairs_equals_brute(hashes, max_h, slab):
             d = bin(int(hs[i] ^ hs[j])).count("1")
             if d <= max_h:
                 want.add((i, j, d))
-    # slab-blocked (mirrors the pairs() inner loop with a tiny slab)
-    got = set()
-    n = len(hs)
-    col = np.arange(n)
-    for s in range(0, n - 1, slab):
-        e = min(s + slab, n)
-        dm = D._popcount64(hs[s:e, None] ^ hs[None, :])
-        keep = (
-            (dm <= max_h)
-            & (col[None, :] > np.arange(s, e)[:, None])
-            & (ids[s:e, None] != ids[None, :])
-        )
-        ii, jj = np.nonzero(keep)
-        got.update(zip((s + ii).tolist(), jj.tolist(), dm[ii, jj].tolist()))
-    assert got == want
+    g = pd.DataFrame({"doc_id": np.arange(len(hs), dtype=np.int64),
+                      "_h": np.array(hashes, dtype=np.int64),
+                      "band_id": 0, "band_hash": 0})
+    old = D._PAIR_SLAB
+    D._PAIR_SLAB = slab
+    try:
+        out = D._hamming_pairs_from_partition(g, max_h, None, "int64")
+    finally:
+        D._PAIR_SLAB = old
+    assert set(zip(out["a"], out["b"], out["hamming"])) == want
 
 
 # ------------------------------------------------- bloom add/remove
