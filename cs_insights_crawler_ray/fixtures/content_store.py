@@ -76,8 +76,7 @@ def robots_allowed(cfg: ContentStoreConfig, host: str, path: str) -> bool:
     Hosts whose index is divisible by ``robots_host_mod`` publish a
     rule that disallows pages whose number satisfies
     ``page % robots_path_mod == host_index % robots_path_mod``.
-    Pure function — the RobotsCache actor memoizes it per host and
-    counts simulated robots.txt fetches for the lineage metrics.
+    Pure function of the store config, so no rules cache is needed.
     """
     try:
         host_i = int(host.split(".")[0][1:])

@@ -39,9 +39,10 @@ operation is partition-local AND frontier-size-free:
                  partition's HEAD, scored) were already computed by
                  the previous wave's merge tasks; the driver sorts
                  candidate KEYS only and broadcasts dk->fetch_seq
-    admitted     candidates dataset ─ seq attach ─ repartition ─
-                 FUSED task: fetch + decode-verify(+features) + link
-                 canonicalize/robots, slices mailed to seen shards
+    admitted     per-partition seq-attach tasks split the admitted rows
+                 into slices; one FUSED task per bundle of slices:
+                 fetch + decode-verify(+features) + link
+                 canonicalize/robots, link slices mailed to seen shards
     during fetch ADVANCE each partition: drop admitted rows from the
                  head, refill by run-cursor advance — O(head +
                  refilled).  Full-snapshot waves also COMPACT (merge
@@ -64,10 +65,11 @@ O(hosts x budget) per partition (the politeness floor); runs are plain
 object-store Arrow tables fetched only when a refill or compaction
 draws from them: at 10^10-URL scale ``n_shards`` scales with the
 cluster, partitions hold frontier rows only (no payloads), and the
-object store spills cold runs.  The Dataset API still carries the
-heavy data path (admitted rows → fused fetch); each fetched block then
-feeds the crawl log and the payload sink through plain per-block
-tasks (``_split_fetched``, ``sinks.write_payload``).
+object store spills cold runs.  The wave loop runs no Dataset
+execution: once the admitted slices are object refs, the fused round
+is plain tasks over them (the idiom of cluster.py, ann.py, graph.py
+and curation.py), each returning the crawl-log columns and the payload
+rows; the payload refs go straight to ``sinks.write_payload``.
 """
 
 from __future__ import annotations
@@ -84,12 +86,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..fixtures.content_store import ContentStoreConfig, seed_urls
-from ..functions.urls import canonicalize_batch
+from ..fixtures.content_store import ContentStoreConfig, robots_allowed, seed_urls
+from ..functions.urls import canonicalize_batch, path_query_of
 from ..sources.checkpoint import WaveManifest, commit_manifest, latest_manifest
 from ..sources.sinks import _write_part, clear_partition, write_payload
 from ..stages.fetch import fetch_decode_link_task
-from ..stages.links import RobotsFilterStage, explode_prepared
+from ..stages.links import explode_prepared
 from ..state import frontier
 from ..state.politeness import DISCOVERY_KEY, partition_candidates
 from ..state.seen import FRONTIER_SCHEMA, ShardedSeenSet, digests_from_sha1_column
@@ -115,7 +117,7 @@ class CrawlConfig:
     n_waves: int = 5
     max_depth: int = 8
     n_shards: int = 4             # seen-set actors == frontier partitions
-    fetch_batch: int = 64    # rows per fused fetch+decode task block
+    fetch_batch: int = 64    # min rows per fused fetch task (slices bundled)
     seen_capacity: int = 1 << 18
     extract_features: bool = False  # multimodal feature stage (imagefeat)
     # optional url_canon -> int64 authority (e.g. pipelines/graph.py
@@ -274,64 +276,28 @@ def _merge_frontier(state: dict, new: pa.Table, run_id: int,
     )
 
 
+def _slice_bounds(n_rows: int, n_slices: int) -> np.ndarray:
+    """Row bounds of ``n_slices`` near-equal consecutive slices."""
+    return (np.arange(n_slices + 1, dtype=np.int64) * n_rows) // n_slices
+
+
 @ray.remote
 def _admit_slices(cand: pa.Table, seq_map: pd.DataFrame, n_slices: int):
     """Merge one partition's candidates with the admitted seq map
     (inner: keeps only this wave's admitted rows; passed as the ref
     Ray auto-derefs from plasma, shipped once per partition task) and
-    split into ``n_slices`` near-equal arrow blocks for the fetch
-    pool.  Returns n_slices tables + one trailing list of their block
-    metadata, so the driver can assemble the Dataset without
-    ``from_arrow_refs``'s per-block metadata task round (68 tasks =
-    0.7-1.9 s per wave at 49k URLs, measured).  The metadata type is
-    internal ray API (version-pinned to the vendored 2.49); on drift
-    the trailing element is None and _dataset_from_slices falls back
-    to the public constructor instead of the task hard-failing."""
+    split into ``n_slices`` near-equal arrow tables (``_slice_bounds``,
+    so the driver knows each slice's row count without waiting)."""
     df = cand.to_pandas().merge(seq_map, on=DISCOVERY_KEY, how="inner")
     df = df.drop(columns=["score", "auth_neg"])
-    bounds = (np.arange(n_slices + 1, dtype=np.int64) * len(df)) // n_slices
+    bounds = _slice_bounds(len(df), n_slices)
     out = [
         pa.Table.from_pandas(
             df.iloc[bounds[i] : bounds[i + 1]], preserve_index=False
         )
         for i in range(n_slices)
     ]
-    try:
-        from ray.data.block import BlockMetadataWithSchema
-
-        metas = [BlockMetadataWithSchema.from_block(t) for t in out]
-    except Exception:
-        metas = None
-    return tuple(out) + (metas,)
-
-
-def _dataset_from_slices(table_refs: list, metas: list):
-    """MaterializedDataset over pre-computed (block ref, metadata)
-    pairs — the exact plan ``ray.data.from_arrow_refs`` builds
-    (read_api.py in ray 2.49), minus its blocking one-task-per-block
-    metadata fetch (the slice tasks already computed the metadata
-    in-hand).  Internal-API use is version-pinned to the vendored ray;
-    any import/shape drift falls back to the public constructor."""
-    if metas is None:  # _admit_slices hit internal-API drift
-        return rd.from_arrow_refs(table_refs)
-    try:
-        from ray.data._internal.logical.interfaces import LogicalPlan
-        from ray.data._internal.logical.operators.from_operators import FromArrow
-        from ray.data._internal.plan import ExecutionPlan
-        from ray.data._internal.stats import DatasetStats
-        from ray.data.context import DataContext
-        from ray.data.dataset import MaterializedDataset
-
-        execution_plan = ExecutionPlan(
-            DatasetStats(metadata={"FromArrow": metas}, parent=None),
-            DataContext.get_current().copy(),
-        )
-        logical_plan = LogicalPlan(
-            FromArrow(table_refs, metas), execution_plan._context
-        )
-        return MaterializedDataset(execution_plan, logical_plan)
-    except Exception:
-        return rd.from_arrow_refs(table_refs)
+    return tuple(out) if n_slices > 1 else out[0]
 
 
 # fetch-all bound for admission keys: when n_parts x wave_size exceeds
@@ -421,17 +387,18 @@ def _gather_admission_keys(key_refs, wave_size: int,
 
 def _prepare_admission(key_refs, cand_refs, next_seq: int, wave_size: int,
                        n_blocks: int, admit_limit: int | None = None):
-    """Key sort + seq map + admitted-block tasks for one wave.
+    """Key sort + seq map + admitted-slice tasks for one wave.
     Driver-side cost is the sort of the gathered candidate keys —
     min(n_parts x wave_size, ~O(wave_size)) rows, see
     _gather_admission_keys; the candidate payload rows never touch the
-    driver — each partition's seq-attach + block split runs in one
+    driver — each partition's seq-attach + slice split runs in one
     task sized from the key sort's per-partition admitted counts (so
-    blocks stay ~wave/n_blocks rows even under partition skew; a
+    slices stay ~wave/n_blocks rows even under partition skew; a
     single-block seed wave fetched near-serially otherwise: 41s vs 6s
     for the same width, measured).  Called on the driver at the top of
-    every wave.  Returns None when no candidates remain (crawl
-    exhausted)."""
+    every wave.  Returns ``(slices, seq_map, seq_ref, n_admitted)``,
+    ``slices`` being (table ref, row count) pairs in partition order,
+    or None when no candidates remain (crawl exhausted)."""
     if admit_limit is None:
         admit_limit = ADMIT_FETCHALL_LIMIT  # read at call time: tests
         # monkeypatch the module constant to force the refinement path
@@ -453,25 +420,30 @@ def _prepare_admission(key_refs, cand_refs, next_seq: int, wave_size: int,
     counts = np.bincount(
         keys["_part"].to_numpy(), minlength=len(key_tables)
     )
-    target = max(1, -(-n_admitted // n_blocks))  # ceil: rows per block
-    refs, meta_refs = [], []
+    target = max(1, -(-n_admitted // n_blocks))  # ceil: rows per slice
+    slices = []
     for p, c in enumerate(counts):
         if c == 0:
             continue
         k = int(-(-int(c) // target))
-        r = _admit_slices.options(num_returns=k + 1).remote(
-            cand_refs[p], seq_ref, k
-        )
-        refs.extend(r[:-1])
-        meta_refs.append(r[-1])
-    meta_lists = ray.get(meta_refs)
-    metas = (
-        None  # internal-API drift in some slice task: public fallback
-        if any(ms is None for ms in meta_lists)
-        else [m for ms in meta_lists for m in ms]
-    )
-    admitted = _dataset_from_slices(refs, metas)
-    return admitted, seq_map, seq_ref, n_admitted
+        r = _admit_slices.options(num_returns=k).remote(cand_refs[p], seq_ref, k)
+        slices.extend(zip(r if k > 1 else [r], np.diff(_slice_bounds(int(c), k))))
+    return slices, seq_map, seq_ref, n_admitted
+
+
+def _bundles(slices: list, min_rows: int) -> list[list]:
+    """Consecutive slice refs grouped into bundles of at least
+    ``min_rows`` rows (the last bundle takes the remainder)."""
+    out, cur, n = [], [], 0
+    for ref, rows in slices:
+        cur.append(ref)
+        n += int(rows)
+        if n >= min_rows:
+            out.append(cur)
+            cur, n = [], 0
+    if cur:
+        out.append(cur)
+    return out
 
 
 @ray.remote
@@ -523,17 +495,19 @@ def _replay_part(base: pa.Table, steps: list) -> pa.Table:
 
 
 class _FusedWaveTask:
-    """The whole per-row wave as ONE task function: fetch + decode-
+    """The whole per-row wave as ONE callable: fetch + decode-
     verify(+features/embedding) + link canonicalize/robots + routing
-    of exploded link slices to the seen-shard mailboxes.
+    of exploded link slices to the seen-shard mailboxes.  The driver
+    builds one per wave and ``_fused_wave`` runs it over each bundle
+    of admitted slices.
 
-    The shard sends are acknowledged (ray.get) before the task
+    The shard sends are acknowledged (ray.get) before the call
     returns, so the fetch barrier doubles as the links barrier — at
     barrier time every link slice is buffered in its shard.  Retried
     tasks re-send identical slices; process_wave's dk-sorted
     drop_duplicates makes that idempotent.  Link list columns are
-    dropped from the returned table (only payload/log columns
-    materialize)."""
+    dropped from the returned table (only payload/log columns are
+    kept)."""
 
     def __init__(self, store, extract, shard_handles, n_shards, wave, max_depth):
         self.store = store
@@ -566,12 +540,23 @@ class _FusedWaveTask:
 LOG_COLS = ["fetch_seq", "url_canon", "depth", "status"]
 
 
-@ray.remote(num_returns=2)
-def _split_fetched(t: pa.Table, payload_cols: list) -> tuple:
-    """One fetched block -> (crawl-log columns, payload rows): the
-    payload keeps only decoded-ok rows, without the ok flag."""
+@ray.remote(
+    num_returns=2,
+    name="_FusedWaveTask",
+    max_retries=-1,
+    retry_exceptions=[ray.exceptions.RaySystemError],
+)
+def _fused_wave(fused: _FusedWaveTask, payload_cols: list, *slices: pa.Table):
+    """One bundle of admitted slices through ``fused`` -> (crawl-log
+    columns, payload rows); the payload keeps only decoded-ok rows,
+    without the ok flag.  Retries match Ray Data's map tasks: a dead
+    worker or a system error is retried without limit
+    (``max_retries=-1``, ``retry_exceptions=[RaySystemError]``), an
+    application error is not — it reaches the driver's fetch barrier
+    and aborts the wave before its manifest commits."""
+    t = fused(pa.concat_tables(slices))
     payload = t.select(payload_cols).filter(t["ok"]).drop_columns(["ok"])
-    return pa.table({c: t[c] for c in LOG_COLS}), payload
+    return t.select(LOG_COLS), payload
 
 
 def _seed_table(seeds: list, disc_link_start: int) -> pa.Table:
@@ -591,9 +576,11 @@ def _seed_table(seeds: list, disc_link_start: int) -> pa.Table:
 
 
 def _prepare_seed_table(store: ContentStoreConfig, t: pa.Table) -> pa.Table:
+    """Canonicalize the seed rows and drop the ones robots disallow."""
     t = canonicalize_batch(t)
-    t = RobotsFilterStage(store)(t)
-    return _frontier_table(t)
+    hosts, canon = t["host"].to_pylist(), t["url_canon"].to_pylist()
+    allowed = [robots_allowed(store, h, path_query_of(c)) for h, c in zip(hosts, canon)]
+    return _frontier_table(t.filter(pa.array(allowed, pa.bool_())))
 
 
 def _dedupe_first_seed(t: pa.Table) -> pa.Table:
@@ -841,7 +828,7 @@ def run_crawl(
             if adm is None:
                 _mark("admission")
                 break
-            admitted, seq_map, seq_ref, n_admitted = adm
+            slices, seq_map, seq_ref, n_admitted = adm
             next_seq += n_admitted
             _mark("admission")
 
@@ -886,37 +873,24 @@ def run_crawl(
                     for p in range(n_parts)
                 ]
 
-            # ---- fetch + decode-verify(+features), FUSED (cached
-            # tasks; politeness already enforced).  One pass per row
-            # produces both payload and link-discovery columns;
-            # fetch/decode as separate passes cost an extra full task
-            # round per wave (~20% of wave wall at 32 CPUs, measured).
-            # Tasks reuse the warm worker pool — no per-wave actor
-            # startup — and hold no standing CPU reservation.
-            # Link routing happens INSIDE the fetch task (actor-mailbox
-            # pattern): each task explodes its page links, partitions
-            # them by seen-shard, and ships the slices to the shard
-            # actors with an acknowledged call — so by the time the
-            # fetch barrier completes, every link slice is buffered and
-            # (after the in-fetch mailbox folds) the links phase is one
-            # cross-chunk merge per shard.
+            # ---- fetch + decode-verify(+features), FUSED: one plain
+            # task per bundle of consecutive admitted slices of at
+            # least fetch_batch rows (politeness already enforced).
+            # One pass per row produces the payload, the log columns
+            # and the link-discovery columns; tasks reuse the warm
+            # worker pool and hold no standing CPU reservation.  Link
+            # routing happens INSIDE the task (actor-mailbox pattern):
+            # each task explodes its page links, partitions them by
+            # seen-shard, and ships the slices to the shard actors with
+            # an acknowledged call — so by the time the fetch barrier
+            # (the ray.get of the log columns) completes, every link
+            # slice is buffered and the links phase is one cross-chunk
+            # merge per shard.
             shard_handles = seen.shards
-            n_shards = seen.n_shards
-
-            fetched = admitted.map_batches(
-                _FusedWaveTask(
-                    cfg.store, cfg.extract_features, shard_handles, n_shards,
-                    wave, cfg.max_depth,
-                ),
-                batch_format="pyarrow",
-                batch_size=cfg.fetch_batch,
-            ).materialize()  # wave barrier: the wave's only Dataset execution
-            _mark("fetch")
-
-            # ---- split each fetched block in ONE plain task into the
-            # crawl-log columns and the payload rows; both outputs are
-            # written from those blocks, so the wave runs no Dataset
-            # execution beyond the fused fetch.
+            fused = _FusedWaveTask(
+                cfg.store, cfg.extract_features, shard_handles,
+                seen.n_shards, wave, cfg.max_depth,
+            )
             payload_cols = [
                 "image_id", "bytes", "w", "h", "fmt", "caption", "phash", "ok",
             ]
@@ -924,19 +898,20 @@ def run_crawl(
                 from ..functions.imagefeat import FEATURE_COLUMNS
 
                 payload_cols += [name for name, _ in FEATURE_COLUMNS] + ["embedding"]
-            splits = [
-                _split_fetched.remote(r, payload_cols)
-                for r in fetched.to_arrow_refs()
+            rounds = [
+                _fused_wave.remote(fused, payload_cols, *bundle)
+                for bundle in _bundles(slices, cfg.fetch_batch)
             ]
+            logs = ray.get([r[0] for r in rounds])
+            _mark("fetch")
 
             # ---- crawl-order log (the headline determinism artifact).
             # The admitted set is politeness-bounded, so a single
             # driver-side parquet write of 4 narrow columns is cheap.
             log_path = str(out / "crawl_log" / f"wave={wave:06d}")
             clear_partition(log_path)
-            log_tbl = pa.concat_tables(ray.get([s[0] for s in splits]))
             Path(log_path).mkdir(parents=True, exist_ok=True)
-            pq.write_table(log_tbl, f"{log_path}/log.parquet")
+            pq.write_table(pa.concat_tables(logs), f"{log_path}/log.parquet")
             _mark("log")
 
             # ---- payload -> Lance-style sink, blocking: the write is
@@ -948,7 +923,7 @@ def run_crawl(
             payload_path = f"{out}/payload/wave={wave:06d}"
             try:
                 payload_rows = write_payload(
-                    [s[1] for s in splits], str(out / "payload"), f"wave={wave:06d}"
+                    [r[1] for r in rounds], str(out / "payload"), f"wave={wave:06d}"
                 )
             except Exception as e:
                 raise RuntimeError(

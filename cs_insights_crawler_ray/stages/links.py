@@ -1,46 +1,10 @@
-"""Link discovery stages: explode out-links, canonicalize, robots
-filter.
-
-The robots filter is the actor-pool stage holding the per-host rules
-cache (north_rule "robots.txt cache actor"): rules are resolved once
-per host per actor (a simulated robots.txt fetch, counted for the
-lineage metrics) and memoized — the reference has no robots handling
-because its universe is two fixed APIs; the cache-per-actor pattern is
-its `requests.Session`-per-client analog (``s2client.py:79``).
-"""
+"""Link discovery: the vectorized explode of the fused fetch task's
+prepared link columns into frontier rows."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-from ..fixtures.content_store import ContentStoreConfig, robots_allowed
-
-
-class RobotsFilterStage:
-    """Stateless robots filter: keeps only allowed URLs.  (In
-    production the per-host robots RULES would be cached per worker —
-    here ``robots_allowed`` is a pure function of the deterministic
-    store config, so there is nothing to cache; a previous version
-    carried a fake memo dict + an unread miss counter that promised a
-    cache which did not exist.)"""
-
-    def __init__(self, cfg: ContentStoreConfig):
-        self.cfg = cfg
-
-    def _allowed(self, host: str, path: str) -> bool:
-        return robots_allowed(self.cfg, host, path)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.urls import path_query_of
-
-        hosts = batch["host"].to_pylist()
-        canon = batch["url_canon"].to_pylist()
-        mask = pa.array(
-            [self._allowed(h, path_query_of(c)) for h, c in zip(hosts, canon)],
-            pa.bool_(),
-        )
-        return batch.filter(mask)
 
 
 def explode_prepared(batch: pa.Table, wave: int, max_depth: int) -> pa.Table:

@@ -158,3 +158,104 @@ def test_mailbox_retry_idempotent():
     finally:
         seen.shutdown()
         seen2.shutdown()
+
+
+def _oracle_match(cfg, out, metrics) -> None:
+    import pyarrow.parquet as pq
+    from pathlib import Path
+
+    sim = simulate(cfg)
+    log = read_crawl_log(out)
+    eng = list(zip(log["fetch_seq"], log["url_canon"], log["depth"], log["status"]))
+    assert eng == sim.crawl_log
+    ids = [
+        i for f in sorted(Path(out, "payload").glob("wave=*/*.parquet"))
+        for i in pq.read_table(f, columns=["image_id"])["image_id"].to_pylist()
+    ]
+    assert sorted(ids) == sorted(sim.payload)
+    assert sum(s["exact_size"] for s in metrics["seen_stats"]) == len(sim.seen)
+
+
+FETCH_CFG = CrawlConfig(
+    store=ContentStoreConfig(seed=9, n_hosts=8, pages_per_host=100),
+    n_seeds=12, host_budget=3, wave_size=16, n_waves=3, n_shards=2,
+    fetch_batch=4,  # several fused tasks per wave
+)
+
+
+def test_fused_task_error_aborts_before_commit(tmp_path, monkeypatch):
+    """An application error in one fused fetch task of wave 1 is not
+    retried: it reaches the fetch barrier and aborts the wave before
+    its manifest commits, leaves no thread alive, and a resume is
+    byte-identical to the sequential oracle."""
+    import threading
+    from pathlib import Path
+
+    from cs_insights_crawler_ray.pipelines import crawl as crawl_mod
+
+    marker = str(tmp_path / "raised")
+
+    # defined here, with no reference to this module's globals, so that
+    # cloudpickle ships it to the workers by value
+    class RaiseOnce(crawl_mod._FusedWaveTask):
+        def __call__(self, batch):
+            import os
+
+            if self.wave == 1:
+                try:  # only the first wave-1 bundle creates the marker
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    raise ValueError("simulated fetch-task failure")
+            return super().__call__(batch)
+
+    monkeypatch.setattr(crawl_mod, "_FusedWaveTask", RaiseOnce)
+    out = str(tmp_path / "out")
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="simulated fetch-task failure"):
+        run_crawl(FETCH_CFG, out)
+    assert Path(marker).exists()
+    assert not [
+        t for t in set(threading.enumerate()) - before
+        if not t.daemon and t.is_alive()
+    ]
+    manifests = sorted(Path(out, "checkpoints").glob("manifest_wave*.json"))
+    assert [m.name for m in manifests] == ["manifest_wave000000.json"]
+
+    monkeypatch.undo()
+    metrics = run_crawl(FETCH_CFG, out, resume=True)
+    assert sorted(metrics["by_wave"]) == [1, 2]
+    _oracle_match(FETCH_CFG, out, metrics)
+
+
+def test_fused_task_worker_death_is_retried(tmp_path, monkeypatch):
+    """A fused task whose worker dies after its link slices were sent
+    and acknowledged is retried; the retry re-sends identical slices,
+    and the crawl still matches the oracle (log, payload, seen set)."""
+    from pathlib import Path
+
+    from cs_insights_crawler_ray.pipelines import crawl as crawl_mod
+
+    marker = str(tmp_path / "exited")
+
+    class ExitOnce(crawl_mod._FusedWaveTask):
+        def __call__(self, batch):
+            import os
+
+            t = super().__call__(batch)  # link slices sent and acked
+            if self.wave == 1:
+                try:  # only the first wave-1 attempt creates the marker
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return t
+
+    monkeypatch.setattr(crawl_mod, "_FusedWaveTask", ExitOnce)
+    out = str(tmp_path / "out")
+    metrics = run_crawl(FETCH_CFG, out)
+    assert Path(marker).exists(), "the injected worker exit never ran"
+    assert sorted(metrics["by_wave"]) == [0, 1, 2]
+    _oracle_match(FETCH_CFG, out, metrics)

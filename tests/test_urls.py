@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from urllib.parse import urlsplit
+
 import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
 from cs_insights_crawler_ray.functions.urls import (
+    canonical_parts,
     canonicalize_batch,
     canonicalize_url,
     host_hash64,
@@ -21,18 +24,47 @@ def test_canonicalize_basics():
     assert canonicalize_url("http://h.test/p?q=1&r=2") == "http://h.test/p?q=1&r=2"
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.builds(
-        lambda h, segs, q: f"http://{h}.test/" + "/".join(segs) + (f"?k={q}" if q else ""),
-        st.from_regex(r"[a-z][a-z0-9]{0,10}", fullmatch=True),
-        st.lists(st.sampled_from(["a", "b%20c", ".", "..", "~x", "p/q"]), max_size=6),
-        st.integers(0, 99),
-    )
+URLS = st.builds(
+    lambda scheme, h, port, segs, q: (
+        f"{scheme}://{h}.test{port}/" + "/".join(segs) + (f"?k={q}" if q else "")
+    ),
+    st.sampled_from(["http", "https", "HTTP", "Https"]),
+    st.from_regex(r"[a-zA-Z][a-zA-Z0-9-]{0,10}", fullmatch=True),
+    st.sampled_from(["", ":80", ":443", ":8080"]),
+    st.lists(
+        st.sampled_from(["a", "B", "b%20c", ".", "..", "~x", "%7Ey", "p/q", "", "x.y"]),
+        max_size=6,
+    ),
+    st.integers(0, 99),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(URLS)
 def test_canonicalize_idempotent(url):
     once = canonicalize_url(url)
     assert canonicalize_url(once) == once
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(URLS, URLS.map(canonicalize_url)))
+def test_fast_path_declines_or_is_canonical(url):
+    """The fast path either declines or accepts a URL that
+    canonicalize_url returns unchanged, with urlsplit's host and path."""
+    parts = canonical_parts(pa.array([url])).to_pylist()[0]
+    if parts is not None:
+        assert canonicalize_url(url) == url
+        s = urlsplit(url)
+        assert parts == {"host": s.netloc, "path": s.path} and not s.query
+
+
+def test_fast_path_accepts_fixture_urls():
+    urls = ["https://h0001.test/p/5", "HTTPS://h0001.test/p/5",
+            "https://h0001.test:443/p/5", "https://h0001.test/p/5?q=1",
+            "https://h0001.test", " https://h.test/", "https://h.test/p\n"]
+    assert canonical_parts(pa.array(urls)).to_pylist() == (
+        [{"host": "h0001.test", "path": "/p/5"}] + [None] * 6
+    )
 
 
 def test_hashes_stable():
