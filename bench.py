@@ -107,9 +107,10 @@ def run_bench() -> dict:
         max_depth=10,
         n_shards=8,  # fixed across parallelism levels: shard count is
         # state layout, not compute parallelism (actors are num_cpus=0)
-        # 256 over 128: halves the per-batch shard-mailbox send+ack
-        # rounds, worth ~12% of T16 (74.7 -> 65.5s measured); T4
-        # unaffected within noise.  512 gains ~2% more but doubles
+        # 256 over 128: halves the fused tasks per wave, and with
+        # them the per-task overhead, worth ~12% of T16 (74.7 -> 65.5s,
+        # measured when each task also sent its links to the shards);
+        # T4 unaffected within noise.  512 gains ~2% more but doubles
         # per-task byte footprint — not worth it.
         fetch_batch=256,
         seen_capacity=1 << 19,

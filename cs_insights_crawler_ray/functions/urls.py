@@ -172,12 +172,13 @@ def digest_arrays(digests: bytes) -> tuple[pa.Array, pa.Array]:
 
 
 def canonicalize_batch(batch: pa.Table, url_col: str = "url") -> pa.Table:
-    """Stateless batch kernel: add url_canon, url_sha1, host,
+    """Stateless batch kernel: add url_canon, url_hex, url_sha1, host,
     host_hash columns (``url_columns`` over the URL column)."""
     canon, hosts, _, digests, hh = url_columns(batch[url_col].combine_chunks())
-    sha, _ = digest_arrays(digests)
+    sha, hexes = digest_arrays(digests)
     return (
         batch.append_column("url_canon", canon)
+        .append_column("url_hex", hexes)
         .append_column("url_sha1", sha.cast(pa.binary(20)))
         .append_column("host", hosts)
         .append_column("host_hash", pa.array(hh, pa.uint64()))

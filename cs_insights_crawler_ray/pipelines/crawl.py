@@ -42,15 +42,17 @@ operation is partition-local AND frontier-size-free:
     admitted     per-partition seq-attach tasks split the admitted rows
                  into slices; one FUSED task per bundle of slices:
                  fetch + decode-verify(+features) + link
-                 canonicalize/robots, link slices mailed to seen shards
+                 canonicalize/robots, returning its link rows split
+                 into one slice per seen shard
     during fetch ADVANCE each partition: drop admitted rows from the
                  head, refill by run-cursor advance — O(head +
                  refilled).  Full-snapshot waves also COMPACT (merge
                  unconsumed run suffixes into one base run = the rest
                  parquet), the only O(frontier) step, amortized over
                  backlog_full_every waves
-    links        per-shard process_wave (pre-folded mailbox merge +
-                 seen test-and-set) -> new frontier partition tables
+    links        per-shard process_wave over that shard's slices
+                 (dedupe by discovery key + seen test-and-set) -> new
+                 frontier partition tables
     merge        MERGE new rows into the structure (append as a run /
                  top up heads) + next wave's candidates, same round —
                  O(head + new)
@@ -68,8 +70,10 @@ cluster, partitions hold frontier rows only (no payloads), and the
 object store spills cold runs.  The wave loop runs no Dataset
 execution: once the admitted slices are object refs, the fused round
 is plain tasks over them (the idiom of cluster.py, ann.py, graph.py
-and curation.py), each returning the crawl-log columns and the payload
-rows; the payload refs go straight to ``sinks.write_payload``.
+and curation.py), each returning the crawl-log columns, the payload
+rows and its per-shard link slices; the payload refs go straight to
+``sinks.write_payload`` and the slice refs to the shards' link barrier
+calls (task returns as futures — Wang et al., *Ownership*, NSDI 2021).
 """
 
 from __future__ import annotations
@@ -141,11 +145,7 @@ class CrawlConfig:
 
 def _frontier_table(batch: pa.Table) -> pa.Table:
     """Project + order columns to the canonical frontier schema (so
-    union of differently-produced blocks has one schema). url_hex is
-    only (re)computed when absent — it's a Python-level loop."""
-    if "url_hex" not in batch.column_names:
-        hexes = pa.array([b.hex() for b in batch["url_sha1"].to_pylist()], pa.string())
-        batch = batch.append_column("url_hex", hexes)
+    union of differently-produced blocks has one schema)."""
     return pa.table(
         {
             "url_canon": batch["url_canon"].cast(pa.string()),
@@ -494,69 +494,51 @@ def _replay_part(base: pa.Table, steps: list) -> pa.Table:
     return part
 
 
+LOG_COLS = ["fetch_seq", "url_canon", "depth", "status"]
+
+
 class _FusedWaveTask:
     """The whole per-row wave as ONE callable: fetch + decode-
-    verify(+features/embedding) + link canonicalize/robots + routing
-    of exploded link slices to the seen-shard mailboxes.  The driver
-    builds one per wave and ``_fused_wave`` runs it over each bundle
-    of admitted slices.
+    verify(+features/embedding) + link canonicalize/robots + explode.
+    The driver builds one per wave and ``_fused_wave`` runs it over
+    each bundle of admitted slices.
 
-    The shard sends are acknowledged (ray.get) before the call
-    returns, so the fetch barrier doubles as the links barrier — at
-    barrier time every link slice is buffered in its shard.  Retried
-    tasks re-send identical slices; process_wave's dk-sorted
-    drop_duplicates makes that idempotent.  Link list columns are
-    dropped from the returned table (only payload/log columns are
-    kept)."""
+    A pure function of its input: it returns the crawl-log columns,
+    the payload rows (decoded-ok rows only, without the ok flag) and
+    the exploded link rows split by seen shard, one frontier-schema
+    slice per shard (empty slices included), and calls no actor.  A
+    retried attempt therefore leaves nothing behind from the first
+    one; the slices reach the shards as arguments of the link
+    barrier's ``process_wave`` calls."""
 
-    def __init__(self, store, extract, shard_handles, n_shards, wave, max_depth):
+    def __init__(self, store, extract, payload_cols, n_shards, wave, max_depth):
         self.store = store
         self.extract = extract
-        self.shards = shard_handles
+        self.payload_cols = payload_cols
         self.n_shards = n_shards
         self.wave = wave
         self.max_depth = max_depth
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> tuple:
         t = fetch_decode_link_task(batch, self.store, self.extract)
         links = explode_prepared(t, self.wave, self.max_depth)
-        if links.num_rows:
-            sid = (
-                links["host_hash"].to_numpy(zero_copy_only=False)
-                % np.uint64(self.n_shards)
-            ).astype(np.int64)
-            acks = []
-            for s in range(self.n_shards):
-                mask = sid == s
-                if mask.any():
-                    acks.append(
-                        self.shards[s].buffer_links.remote(links.filter(pa.array(mask)))
-                    )
-            ray.get(acks)
-        drop = [c for c in t.column_names if c.startswith("link")]
-        return t.drop_columns(drop)
-
-
-LOG_COLS = ["fetch_seq", "url_canon", "depth", "status"]
+        payload = t.select(self.payload_cols).filter(t["ok"]).drop_columns(["ok"])
+        return (t.select(LOG_COLS), payload, *_split_frontier(links, self.n_shards))
 
 
 @ray.remote(
-    num_returns=2,
     name="_FusedWaveTask",
     max_retries=-1,
     retry_exceptions=[ray.exceptions.RaySystemError],
 )
-def _fused_wave(fused: _FusedWaveTask, payload_cols: list, *slices: pa.Table):
-    """One bundle of admitted slices through ``fused`` -> (crawl-log
-    columns, payload rows); the payload keeps only decoded-ok rows,
-    without the ok flag.  Retries match Ray Data's map tasks: a dead
-    worker or a system error is retried without limit
+def _fused_wave(fused: _FusedWaveTask, *slices: pa.Table) -> tuple:
+    """One bundle of admitted slices through ``fused``; the caller sets
+    ``num_returns=2 + n_shards``.  Retries match Ray Data's map tasks:
+    a dead worker or a system error is retried without limit
     (``max_retries=-1``, ``retry_exceptions=[RaySystemError]``), an
     application error is not — it reaches the driver's fetch barrier
     and aborts the wave before its manifest commits."""
-    t = fused(pa.concat_tables(slices))
-    payload = t.select(payload_cols).filter(t["ok"]).drop_columns(["ok"])
-    return t.select(LOG_COLS), payload
+    return fused(pa.concat_tables(slices))
 
 
 def _seed_table(seeds: list, disc_link_start: int) -> pa.Table:
@@ -878,19 +860,10 @@ def run_crawl(
             # least fetch_batch rows (politeness already enforced).
             # One pass per row produces the payload, the log columns
             # and the link-discovery columns; tasks reuse the warm
-            # worker pool and hold no standing CPU reservation.  Link
-            # routing happens INSIDE the task (actor-mailbox pattern):
-            # each task explodes its page links, partitions them by
-            # seen-shard, and ships the slices to the shard actors with
-            # an acknowledged call — so by the time the fetch barrier
-            # (the ray.get of the log columns) completes, every link
-            # slice is buffered and the links phase is one cross-chunk
-            # merge per shard.
-            shard_handles = seen.shards
-            fused = _FusedWaveTask(
-                cfg.store, cfg.extract_features, shard_handles,
-                seen.n_shards, wave, cfg.max_depth,
-            )
+            # worker pool and hold no standing CPU reservation.  Each
+            # task explodes its page links and returns them split by
+            # seen shard, one slice per shard, next to its log and
+            # payload outputs; it makes no actor call.
             payload_cols = [
                 "image_id", "bytes", "w", "h", "fmt", "caption", "phash", "ok",
             ]
@@ -898,8 +871,12 @@ def run_crawl(
                 from ..functions.imagefeat import FEATURE_COLUMNS
 
                 payload_cols += [name for name, _ in FEATURE_COLUMNS] + ["embedding"]
+            fused = _FusedWaveTask(
+                cfg.store, cfg.extract_features, payload_cols, n_parts,
+                wave, cfg.max_depth,
+            )
             rounds = [
-                _fused_wave.remote(fused, payload_cols, *bundle)
+                _fused_wave.options(num_returns=2 + n_parts).remote(fused, *bundle)
                 for bundle in _bundles(slices, cfg.fetch_batch)
             ]
             logs = ray.get([r[0] for r in rounds])
@@ -932,15 +909,19 @@ def run_crawl(
                 ) from e
             _mark("payload_join")
 
-            # ---- link barrier: one deterministic process_wave() per
-            # shard (cross-chunk merge of the pre-folded mailbox, seen
-            # test-and-set).  The bulk of the dedup work already ran
-            # inside buffer_links folds DURING the fetch.  Counts come
-            # from an actor-local info call — shipping each frontier
-            # table through a counting task cost ~5 MB/shard of object
-            # transfer per wave (measured as most of the links wall).
-            frontier_refs = [s.process_wave.remote() for s in shard_handles]
-            infos = ray.get([s.last_process_info.remote() for s in shard_handles])
+            # ---- link barrier: one process_wave() per shard takes
+            # that shard's link slice from every fused task (wave
+            # dedupe by discovery key, seen test-and-set) and returns
+            # the new frontier rows plus (count, timings); only the
+            # small second return crosses to the driver.
+            barrier = [
+                shard.process_wave.options(num_returns=2).remote(
+                    *[r[2 + s] for r in rounds]
+                )
+                for s, shard in enumerate(seen.shards)
+            ]
+            frontier_refs = [b[0] for b in barrier]
+            infos = ray.get([b[1] for b in barrier])
             n_new = sum(i[0] for i in infos)
             for key in ("fold_tail", "merge", "seen"):
                 phase_t[f"links_{key}"] = round(

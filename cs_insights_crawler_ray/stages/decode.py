@@ -33,10 +33,10 @@ class DecodeVerifyStage:
         self.extract = extract
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url_canon"].to_pylist()
-        shas = batch["url_sha1"].to_pylist()
-        blobs = batch["bytes"].to_pylist()
-        statuses = batch["status"].to_pylist()
+        urls, shas, blobs, statuses = (
+            batch[c].to_numpy(zero_copy_only=False)
+            for c in ("url_canon", "url_sha1", "bytes", "status")
+        )
         ids, ws, hs, fmts, phashes, oks = [], [], [], [], [], []
         feats: dict[str, list] = {name: [] for name, _ in FEATURE_COLUMNS} if self.extract else {}
         embeds: list = []

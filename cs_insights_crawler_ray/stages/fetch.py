@@ -47,7 +47,8 @@ def fetch_task(batch: pa.Table, cfg: ContentStoreConfig) -> pa.Table:
     pmf = _PMF.get(cfg)
     if pmf is None:
         pmf = _PMF.setdefault(cfg, cfg.host_pmf())
-    pages = [fetch_page(cfg, u, pmf) for u in batch["url_canon"].to_pylist()]
+    urls = batch["url_canon"].to_numpy(zero_copy_only=False)
+    pages = [fetch_page(cfg, u, pmf) for u in urls]
     for name, typ in _FETCH_COLS:
         batch = batch.append_column(name, pa.array([p[name] for p in pages], typ))
     return batch

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state.seen import FRONTIER_SCHEMA
+
 
 def explode_prepared(batch: pa.Table, wave: int, max_depth: int) -> pa.Table:
     """Vectorized explode of the fused stage's prepared link columns
@@ -19,25 +21,12 @@ def explode_prepared(batch: pa.Table, wave: int, max_depth: int) -> pa.Table:
     import pyarrow.compute as pc
 
     t = batch.filter(pc.equal(batch["status"], pa.scalar("200")))
-    empty = pa.table(
-        {
-            "url_canon": pa.array([], pa.string()),
-            "url_hex": pa.array([], pa.string()),
-            "url_sha1": pa.array([], pa.binary(20)),
-            "host": pa.array([], pa.string()),
-            "host_hash": pa.array([], pa.uint64()),
-            "depth": pa.array([], pa.int32()),
-            "disc_wave": pa.array([], pa.int32()),
-            "disc_parent": pa.array([], pa.int64()),
-            "disc_link": pa.array([], pa.int32()),
-        }
-    )
     if t.num_rows == 0:
-        return empty
+        return FRONTIER_SCHEMA.empty_table()
     lens = pc.list_value_length(t["link_canon"]).to_numpy(zero_copy_only=False)
     total = int(lens.sum())
     if total == 0:
-        return empty
+        return FRONTIER_SCHEMA.empty_table()
     parent = np.repeat(t["fetch_seq"].to_numpy(zero_copy_only=False), lens)
     depth = np.repeat(t["depth"].to_numpy(zero_copy_only=False) + 1, lens).astype(np.int32)
     starts = np.concatenate([[0], np.cumsum(lens)[:-1]])

@@ -11,8 +11,8 @@ drops to raw Ray actors per the build contract.
 
 Sharding: ``host_hash % n_shards``.  This co-locates each host's URLs
 in one shard (same key the politeness layer partitions by), bounds any
-single actor's memory, and lets `check_and_add` calls from parallel
-map_batches tasks fan out without a global lock.
+single actor's memory, and lets the shards run each wave's link
+barrier in parallel without a global lock.
 
 Membership modes — each shard holds exactly ONE membership structure,
 chosen at construction, and every test-and-set, lookup and restore
@@ -33,11 +33,12 @@ runs through it:
   wrongly considered seen are skipped — safe, just lossy).
   ``capacity``/``fp_rate`` size these sketches only.
 
-Determinism under parallelism: callers dedupe each wave globally by
-``url_sha1`` *before* the seen filter (groupby min-discovery-key), so
-within a wave every digest reaches its shard exactly once and the
-answer is independent of task interleaving; across waves the wave
-barrier orders adds.
+Determinism under parallelism: the fused fetch tasks return their
+link rows split by shard, and each shard's ``process_wave`` takes all
+of a wave's slices in one call.  It keeps the lowest discovery key per
+URL *before* the seen filter, so within a wave every digest is tested
+exactly once and the answer is independent of task order and retries;
+across waves the wave barrier orders adds.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 
@@ -327,11 +327,6 @@ class _SeenShardImpl:
         self.capacity = capacity
         self.fp_rate = fp_rate
         self.exact = exact
-        self.mailbox: list = []  # buffered link slices for the current wave
-        self._folded: list = []  # pre-deduped chunks (pandas), fold_mailbox
-        self._fold_rows = 0      # raw rows currently in self.mailbox
-        self._last_process: dict = {}  # timing of the last process_wave
-        self._last_new_count = 0
         self._reset()
 
     def _reset(self) -> None:
@@ -345,58 +340,26 @@ class _SeenShardImpl:
         self.n_new = 0
         self._pending_deltas: list = []  # new digests since last snapshot
 
-    # -- wave mailbox -------------------------------------------------
-    # Fetch tasks route their exploded link slices here DURING the
-    # fetch phase (ray.get-acknowledged, so every slice is buffered
-    # before the wave barrier); process_wave then sorts the whole
-    # slice set by discovery key, wave-dedupes, and runs the seen
-    # test-and-set — one deterministic pass per shard per wave.  This
-    # replaces a groupby shuffle + separate seen stage (6-17s/wave of
-    # post-fetch serial time at 32 CPUs, measured) with work that
-    # overlaps the fetch.
-    _FOLD_ROWS = 32_768  # fold the mailbox once this many raw rows buffer
+    def process_wave(self, *tables: pa.Table) -> tuple[pa.Table, tuple[int, dict]]:
+        """Link barrier: this shard's link slices of one wave, one per
+        fused fetch task -> (the NEW frontier rows in the canonical
+        schema, (their count, phase timings)).
 
-    def buffer_links(self, table) -> int:
-        self.mailbox.append(table)
-        self._fold_rows += table.num_rows
-        if self._fold_rows >= self._FOLD_ROWS:
-            self._fold_mailbox()
-        return len(self.mailbox)
-
-    def _fold_mailbox(self) -> None:
-        """Pre-dedup the buffered slices into one sorted pandas chunk.
-        Triggered from buffer_links every _FOLD_ROWS raw rows, i.e.
-        DURING the fetch phase — the arrow->pandas conversion and the
-        first-level sort+dedup (the bulk of the old barrier cost)
-        overlap the fetch instead of serializing after it.  Min-
-        discovery-key-first dedup is associative, so per-chunk dedup
-        composes with the final cross-chunk pass in process_wave."""
-        if not self.mailbox:
-            return
-        t = pa.concat_tables(self.mailbox)
-        self.mailbox = []
-        self._fold_rows = 0
-        if t.num_rows == 0:
-            return
-        df = t.to_pandas()
-        df = df.sort_values(_DISCOVERY_KEY, kind="mergesort").drop_duplicates(
-            "url_hex", keep="first"
-        )
-        self._folded.append(df)
-
-    def process_wave(self):
-        """Barrier call: returns the NEW frontier rows (arrow Table,
-        canonical schema; empty when nothing new) from everything
-        buffered this wave."""
+        Sorting by discovery key and keeping the first row per
+        ``url_hex`` makes the answer independent of the slices' order
+        and of a slice given twice; the seen test-and-set then drops
+        the URLs of earlier waves.  Every call is one deterministic
+        pass, and nothing is buffered between calls."""
+        # timing keys: fold_tail = concat + to_pandas, merge = sort +
+        # dedupe, seen = test-and-set (the crawl's links_* phases)
         t0 = time.perf_counter()
-        self._fold_mailbox()
+        t = pa.concat_tables(tables)
+        if t.num_rows == 0:
+            return FRONTIER_SCHEMA.empty_table(), (
+                0, {"fold_tail": round(time.perf_counter() - t0, 3)}
+            )
+        df = t.to_pandas()
         t1 = time.perf_counter()
-        if not self._folded:
-            self._last_new_count = 0
-            self._last_process = {"fold_tail": round(t1 - t0, 3)}
-            return FRONTIER_SCHEMA.empty_table()
-        df = self._folded[0] if len(self._folded) == 1 else pd.concat(self._folded)
-        self._folded = []
         df = df.sort_values(_DISCOVERY_KEY, kind="mergesort").drop_duplicates(
             "url_hex", keep="first"
         )
@@ -407,19 +370,11 @@ class _SeenShardImpl:
         mask = self.check_and_add(digests_from_sha1_column(out["url_sha1"]))
         out = out.filter(pa.array(mask))
         t3 = time.perf_counter()
-        self._last_new_count = out.num_rows
-        self._last_process = {
+        return out, (out.num_rows, {
             "fold_tail": round(t1 - t0, 3),
             "merge": round(t2 - t1, 3),
             "seen": round(t3 - t2, 3),
-        }
-        return out
-
-    def last_process_info(self) -> tuple[int, dict]:
-        """Actor-local (count, timings) of the last process_wave — the
-        caller reads the new-row count without shipping the frontier
-        table through a counting task."""
-        return self._last_new_count, self._last_process
+        })
 
     def check_and_add(self, digests: np.ndarray) -> np.ndarray:
         """(N,20) uint8 -> (N,) bool, True = previously UNSEEN (and now
@@ -533,8 +488,8 @@ SeenShard = ray.remote(num_cpus=0)(_SeenShardImpl)
 
 
 class ShardedSeenSet:
-    """Driver-side handle bundle; also usable from inside map_batches
-    tasks (actor handles serialize)."""
+    """Driver-side handle bundle; also usable from inside tasks (actor
+    handles serialize)."""
 
     def __init__(self, n_shards: int = 8, capacity_per_shard: int = 1 << 20,
                  fp_rate: float = 1e-3, exact: bool = True):

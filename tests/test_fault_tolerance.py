@@ -1,7 +1,10 @@
 """Fault-path behavior: 404s through the full crawl (quarantine +
-parity), and fetch-task retry idempotency of the mailbox protocol."""
+parity), failures and retries of the fused fetch task, and the link
+barrier's independence from slice order and repeats."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -15,7 +18,11 @@ from cs_insights_crawler_ray.pipelines.crawl import (
     run_crawl,
 )
 from cs_insights_crawler_ray.pipelines.oracle_sim import simulate
-from cs_insights_crawler_ray.state.seen import ShardedSeenSet
+from cs_insights_crawler_ray.state.seen import (
+    FRONTIER_SCHEMA,
+    ShardedSeenSet,
+    _SeenShardImpl,
+)
 
 
 def test_dead_links_parity_and_quarantine(tmp_path):
@@ -127,37 +134,68 @@ def test_payload_write_failure_aborts_before_commit(tmp_path, monkeypatch, injec
     assert eng == sim.crawl_log
 
 
-def test_mailbox_retry_idempotent():
-    """A retried fetch task re-sends identical link slices; the shard's
-    process_wave (dk-sorted dedupe) must yield the same frontier as a
-    single send."""
-    cfg = ContentStoreConfig(seed=33, n_hosts=6, pages_per_host=100)
-    seen = ShardedSeenSet(n_shards=2, capacity_per_shard=4096)
-    seen2 = ShardedSeenSet(n_shards=2, capacity_per_shard=4096)
-    try:
-        batch = pa.table(
+def test_process_wave_is_order_and_retry_invariant():
+    """The link barrier is a function of the wave's slices alone: given
+    once, given twice (the shape of a retried task's outputs) or in
+    permuted order, ``process_wave`` returns the same table, equal to a
+    scalar reference — the lowest discovery key per url_hex, minus the
+    digests already seen.  Ray-free: the slices come from the fused
+    task called in-process."""
+    store = ContentStoreConfig(seed=33, n_hosts=6, pages_per_host=100)
+
+    def bundle(pages, seq0):
+        urls = [store.url(p % 6, p) for p in pages]
+        return pa.table(
             {
-                "url_canon": [cfg.url(i % 6, i) for i in range(8)],
-                "url_sha1": [bytes([i] * 20) for i in range(8)],
-                "fetch_seq": pa.array(range(8), pa.int64()),
-                "depth": pa.array([0] * 8, pa.int32()),
+                "url_canon": urls,
+                "url_sha1": pa.array(
+                    [hashlib.sha1(u.encode()).digest() for u in urls], pa.binary(20)
+                ),
+                "fetch_seq": pa.array(range(seq0, seq0 + len(urls)), pa.int64()),
+                "depth": pa.array([0] * len(urls), pa.int32()),
             }
         )
-        task1 = _FusedWaveTask(cfg, False, seen.shards, 2, 0, 8)
-        task1(batch)
-        task1(batch)  # simulated Ray retry of the same input batch
-        task2 = _FusedWaveTask(cfg, False, seen2.shards, 2, 0, 8)
-        task2(batch)
 
-        import ray
+    fused = _FusedWaveTask(store, False, ["image_id", "ok"], 2, 1, 8)
+    # pages 3-5 are in two bundles, so their links repeat under a
+    # higher discovery key; page 500 is a 404 with no links
+    outs = [
+        fused(bundle(range(0, 6), 0)),
+        fused(bundle(range(3, 9), 10)),
+        fused(bundle([500], 20)),
+        fused(bundle(range(9, 12), 30)),
+    ]
+    assert all(t.schema == FRONTIER_SCHEMA for o in outs for t in o[2:])
+    assert [t.num_rows for t in outs[2][2:]] == [0, 0]
+    for s in range(2):
+        slices = [o[2 + s] for o in outs]
+        rows = [r for t in slices for r in t.to_pylist()]
+        seen_before = sorted({r["url_sha1"] for r in rows[::4]})
+        best = {}
+        for r in rows:
+            dk = (r["disc_wave"], r["disc_parent"], r["disc_link"])
+            if r["url_hex"] not in best or dk < best[r["url_hex"]][0]:
+                best[r["url_hex"]] = (dk, r)
+        ref = [
+            r for _, r in sorted(best.values(), key=lambda e: e[0])
+            if r["url_sha1"] not in seen_before
+        ]
+        assert 0 < len(ref) < len(best) < len(rows)
 
-        f_retry = [ray.get(s.process_wave.remote()) for s in seen.shards]
-        f_once = [ray.get(s.process_wave.remote()) for s in seen2.shards]
-        for a, b in zip(f_retry, f_once):
-            assert a.equals(b), "retry changed the frontier output"
-    finally:
-        seen.shutdown()
-        seen2.shutdown()
+        def barrier(*tables):
+            shard = _SeenShardImpl(s, capacity=4096)
+            shard.check_and_add(
+                np.frombuffer(b"".join(seen_before), np.uint8).reshape(-1, 20)
+            )
+            out, (n_new, _) = shard.process_wave(*tables)
+            assert n_new == out.num_rows
+            return out
+
+        once = barrier(*slices)
+        assert once.schema == FRONTIER_SCHEMA
+        assert once.to_pylist() == ref
+        assert barrier(*slices, *slices).equals(once)
+        assert barrier(*slices[::-1]).equals(once)
 
 
 def _oracle_match(cfg, out, metrics) -> None:
@@ -230,9 +268,10 @@ def test_fused_task_error_aborts_before_commit(tmp_path, monkeypatch):
 
 
 def test_fused_task_worker_death_is_retried(tmp_path, monkeypatch):
-    """A fused task whose worker dies after its link slices were sent
-    and acknowledged is retried; the retry re-sends identical slices,
-    and the crawl still matches the oracle (log, payload, seen set)."""
+    """A fused task whose worker dies after computing its outputs and
+    before returning them is retried; the retry returns identical
+    outputs, and the crawl still matches the oracle (log, payload,
+    seen set)."""
     from pathlib import Path
 
     from cs_insights_crawler_ray.pipelines import crawl as crawl_mod
@@ -243,7 +282,7 @@ def test_fused_task_worker_death_is_retried(tmp_path, monkeypatch):
         def __call__(self, batch):
             import os
 
-            t = super().__call__(batch)  # link slices sent and acked
+            t = super().__call__(batch)  # outputs computed, not returned
             if self.wave == 1:
                 try:  # only the first wave-1 attempt creates the marker
                     os.close(os.open(marker, os.O_CREAT | os.O_EXCL))

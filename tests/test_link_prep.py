@@ -109,6 +109,7 @@ def test_seed_path_uses_the_same_kernel():
     out = canonicalize_batch(pa.table({"url": urls}))
     ref = _reference([urls])
     assert out["url_canon"].to_pylist() == ref["link_canon"][0]
+    assert out["url_hex"].to_pylist() == ref["link_hex"][0]
     assert out["url_sha1"].to_pylist() == ref["link_sha1"][0]
     assert out["host"].to_pylist() == ref["link_host"][0]
     assert out["host_hash"].to_pylist() == ref["link_host_hash"][0]

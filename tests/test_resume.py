@@ -267,12 +267,12 @@ def test_fresh_run_clears_stale_out_dir(tmp_path):
 def test_seen_shard_death_at_link_barrier_aborts_then_resumes(
     tmp_path, monkeypatch
 ):
-    """A seen shard actor dies once wave 2's fetch has filled its
-    mailbox, so wave 2's link barrier meets a dead shard that held the
-    wave's buffered links and a slice of the seen state.  The run must
-    abort before committing wave 2, and a resume with a fresh seen set
-    must rebuild membership from the delta logs and end byte-identical
-    to an uninterrupted run."""
+    """A seen shard actor dies once wave 2's fetch has returned its
+    link slices, so wave 2's link barrier meets a dead shard that held
+    a slice of the seen state.  The run must abort before committing
+    wave 2, and a resume with a fresh seen set must rebuild membership
+    from the delta logs and end byte-identical to an uninterrupted
+    run."""
     import threading
     import time
 

@@ -77,7 +77,7 @@ def test_hashes_stable():
 def test_canonicalize_batch_columns():
     t = pa.table({"url": ["HTTP://H0.test:80/a/../b", "https://h1.test/p/1"]})
     out = canonicalize_batch(t)
-    assert out.column_names == ["url", "url_canon", "url_sha1", "host", "host_hash"]
+    assert out.column_names == ["url", "url_canon", "url_hex", "url_sha1", "host", "host_hash"]
     assert out["url_canon"].to_pylist() == ["http://h0.test/b", "https://h1.test/p/1"]
     assert out["host"].to_pylist() == ["h0.test", "h1.test"]
     assert out.schema.field("url_sha1").type == pa.binary(20)
