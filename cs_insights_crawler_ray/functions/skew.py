@@ -12,8 +12,8 @@ min, max — anything with an associative merge).
 
 Where the crawl engine needs this: per-host LINK counts / metrics over
 the discovered-link stream (the frontier's politeness admission does
-NOT need it — its block-local combiner already caps any host's rows at
-``budget`` per block before the shuffle, see state/politeness.py).
+NOT need it — frontier partitions are keyed by host hash, so a host's
+rows never leave their partition, see state/politeness.py).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ and politeness layers need a canonical form + stable hashes
 hash").
 
 All kernels here are pure and deterministic.  ``url_columns`` is the
-one-pass batch kernel behind both ``canonicalize_batch`` (seeds) and
-the fused fetch task's link prep (stages/fetch.py).
+one-pass batch kernel behind ``stages.links.url_rows``, which turns
+both the seed list and the fused fetch task's out-links into frontier
+rows.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def resolve_link(base: str, href: str) -> str:
 
 
 def url_columns(urls: pa.Array):
-    """One pass over a string array of raw URLs -> (canonical URLs and
-    their hosts as string arrays, the path(+query) robots input of each
-    as a list, the concatenated 20-byte SHA-1 digests of the canonical
-    URLs, uint64 ``host_hash64`` per URL).
+    """One pass over a string array of raw URLs -> (the canonical URLs
+    as a string array, the host and the path(+query) robots input of
+    each as lists, the concatenated 20-byte SHA-1 digests of the
+    canonical URLs, uint64 ``host_hash64`` per URL).
 
     URLs that ``canonical_parts`` accepts are kept as they are; any
     other goes through ``canonicalize_url``, ``host_of`` and
@@ -139,47 +140,10 @@ def url_columns(urls: pa.Array):
         canon[i], hosts[i], paths[i] = c, host_of(c), path_query_of(c)
     if len(slow):
         urls = pa.array(canon, pa.string())
-    hosts = pa.array(hosts, pa.string())
-    enc = hosts.dictionary_encode()
+    enc = pa.array(hosts, pa.string()).dictionary_encode()
     hh = np.array(
         [host_hash64(h) for h in enc.dictionary.to_pylist()], np.uint64
     )[enc.indices.to_numpy(zero_copy_only=False)]
     sha1 = hashlib.sha1
     digests = b"".join([sha1(c.encode("utf-8")).digest() for c in canon.tolist()])
-    return urls, hosts, paths.tolist(), digests, hh
-
-
-_HEX = np.frombuffer(b"0123456789abcdef", np.uint8)
-
-
-def digest_arrays(digests: bytes) -> tuple[pa.Array, pa.Array]:
-    """Concatenated 20-byte digests -> (binary array of the digests,
-    string array of their lowercase hex) without a per-digest Python
-    call: the hex is one nibble lookup over the whole buffer."""
-    n = len(digests) // 20
-    raw = np.frombuffer(digests, np.uint8)
-    hexed = np.empty(2 * raw.size, np.uint8)
-    hexed[0::2] = _HEX[raw >> 4]
-    hexed[1::2] = _HEX[raw & 15]
-    step = np.arange(n + 1, dtype=np.int32)
-    sha = pa.BinaryArray.from_buffers(
-        pa.binary(), n, [None, pa.py_buffer(step * 20), pa.py_buffer(digests)]
-    )
-    hexes = pa.StringArray.from_buffers(
-        n, pa.py_buffer(step * 40), pa.py_buffer(hexed)
-    )
-    return sha, hexes
-
-
-def canonicalize_batch(batch: pa.Table, url_col: str = "url") -> pa.Table:
-    """Stateless batch kernel: add url_canon, url_hex, url_sha1, host,
-    host_hash columns (``url_columns`` over the URL column)."""
-    canon, hosts, _, digests, hh = url_columns(batch[url_col].combine_chunks())
-    sha, hexes = digest_arrays(digests)
-    return (
-        batch.append_column("url_canon", canon)
-        .append_column("url_hex", hexes)
-        .append_column("url_sha1", sha.cast(pa.binary(20)))
-        .append_column("host", hosts)
-        .append_column("host_hash", pa.array(hh, pa.uint64()))
-    )
+    return urls, hosts.tolist(), paths.tolist(), digests, hh

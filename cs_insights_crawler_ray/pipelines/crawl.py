@@ -42,8 +42,8 @@ operation is partition-local AND frontier-size-free:
     admitted     per-partition seq-attach tasks split the admitted rows
                  into slices; one FUSED task per bundle of slices:
                  fetch + decode-verify(+features) + link
-                 canonicalize/robots, returning its link rows split
-                 into one slice per seen shard
+                 canonicalize/robots, returning its out-links as flat
+                 frontier rows split into one slice per seen shard
     during fetch ADVANCE each partition: drop admitted rows from the
                  head, refill by run-cursor advance — O(head +
                  refilled).  Full-snapshot waves also COMPACT (merge
@@ -51,7 +51,8 @@ operation is partition-local AND frontier-size-free:
                  parquet), the only O(frontier) step, amortized over
                  backlog_full_every waves
     links        per-shard process_wave over that shard's slices
-                 (dedupe by discovery key + seen test-and-set) -> new
+                 (discovery-key sort + one seen test-and-set, whose
+                 first-occurrence mask is the wave dedupe) -> new
                  frontier partition tables
     merge        MERGE new rows into the structure (append as a run /
                  top up heads) + next wave's candidates, same round —
@@ -90,15 +91,19 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..fixtures.content_store import ContentStoreConfig, robots_allowed, seed_urls
-from ..functions.urls import canonicalize_batch, path_query_of
+from ..fixtures.content_store import ContentStoreConfig, seed_urls
 from ..sources.checkpoint import WaveManifest, commit_manifest, latest_manifest
 from ..sources.sinks import _write_part, clear_partition, write_payload
 from ..stages.fetch import fetch_decode_link_task
-from ..stages.links import explode_prepared
+from ..stages.links import frontier_rows, url_rows
 from ..state import frontier
 from ..state.politeness import DISCOVERY_KEY, partition_candidates
-from ..state.seen import FRONTIER_SCHEMA, ShardedSeenSet, digests_from_sha1_column
+from ..state.seen import (
+    FRONTIER_SCHEMA,
+    ShardedSeenSet,
+    _unique_rows,
+    digests_from_sha1_column,
+)
 
 # ONE source of truth for the frontier column list: a hand-maintained
 # copy here silently desynchronized from schema edits in state/seen.py
@@ -145,20 +150,10 @@ class CrawlConfig:
 
 def _frontier_table(batch: pa.Table) -> pa.Table:
     """Project + order columns to the canonical frontier schema (so
-    union of differently-produced blocks has one schema)."""
-    return pa.table(
-        {
-            "url_canon": batch["url_canon"].cast(pa.string()),
-            "url_hex": batch["url_hex"],
-            "url_sha1": batch["url_sha1"].cast(pa.binary(20)),
-            "host": batch["host"].cast(pa.string()),
-            "host_hash": batch["host_hash"].cast(pa.uint64()),
-            "depth": batch["depth"].cast(pa.int32()),
-            "disc_wave": batch["disc_wave"].cast(pa.int32()),
-            "disc_parent": batch["disc_parent"].cast(pa.int64()),
-            "disc_link": batch["disc_link"].cast(pa.int32()),
-        }
-    )
+    union of differently-produced blocks has one schema, and a
+    checkpoint written in the older, wider row format reads as the
+    current one)."""
+    return batch.select(FRONTIER_COLS).cast(FRONTIER_SCHEMA)
 
 
 def _split_frontier(t: pa.Table, n_parts: int) -> list[pa.Table]:
@@ -499,17 +494,20 @@ LOG_COLS = ["fetch_seq", "url_canon", "depth", "status"]
 
 class _FusedWaveTask:
     """The whole per-row wave as ONE callable: fetch + decode-
-    verify(+features/embedding) + link canonicalize/robots + explode.
-    The driver builds one per wave and ``_fused_wave`` runs it over
-    each bundle of admitted slices.
+    verify(+features/embedding) + link canonicalize/robots.  The
+    driver builds one per wave and ``_fused_wave`` runs it over each
+    bundle of admitted slices.
 
-    A pure function of its input: it returns the crawl-log columns,
-    the payload rows (decoded-ok rows only, without the ok flag) and
-    the exploded link rows split by seen shard, one frontier-schema
-    slice per shard (empty slices included), and calls no actor.  A
-    retried attempt therefore leaves nothing behind from the first
-    one; the slices reach the shards as arguments of the link
-    barrier's ``process_wave`` calls."""
+    Each out-link of a 200-status page becomes a frontier row keyed
+    ``(wave, parent fetch_seq, link position)`` at the parent's depth
+    + 1; links past ``max_depth`` are dropped.  A pure function of its
+    input: it returns the crawl-log columns, the payload rows
+    (decoded-ok rows only, without the ok flag) and the link rows
+    split by seen shard, one frontier-schema slice per shard (empty
+    slices included), and calls no actor.  A retried attempt
+    therefore leaves nothing behind from the first one; the slices
+    reach the shards as arguments of the link barrier's
+    ``process_wave`` calls."""
 
     def __init__(self, store, extract, payload_cols, n_shards, wave, max_depth):
         self.store = store
@@ -520,8 +518,14 @@ class _FusedWaveTask:
         self.max_depth = max_depth
 
     def __call__(self, batch: pa.Table) -> tuple:
-        t = fetch_decode_link_task(batch, self.store, self.extract)
-        links = explode_prepared(t, self.wave, self.max_depth)
+        t, rows, parent, position = fetch_decode_link_task(batch, self.store, self.extract)
+        depth = t["depth"].to_numpy()[parent] + 1
+        ok = t["status"].to_numpy(zero_copy_only=False) == "200"
+        keep = ok[parent] & (depth <= self.max_depth)
+        links = frontier_rows(
+            rows.filter(pa.array(keep)), depth[keep], self.wave,
+            t["fetch_seq"].to_numpy()[parent[keep]], position[keep],
+        )
         payload = t.select(self.payload_cols).filter(t["ok"]).drop_columns(["ok"])
         return (t.select(LOG_COLS), payload, *_split_frontier(links, self.n_shards))
 
@@ -541,35 +545,18 @@ def _fused_wave(fused: _FusedWaveTask, *slices: pa.Table) -> tuple:
     return fused(pa.concat_tables(slices))
 
 
-def _seed_table(seeds: list, disc_link_start: int) -> pa.Table:
-    n = len(seeds)
-    return pa.table(
-        {
-            "url": pa.array(seeds, pa.string()),
-            "disc_wave": pa.array([-1] * n, pa.int32()),
-            "disc_parent": pa.array([-1] * n, pa.int64()),
-            "disc_link": pa.array(
-                np.arange(disc_link_start, disc_link_start + n, dtype=np.int32),
-                pa.int32(),
-            ),
-            "depth": pa.array([0] * n, pa.int32()),
-        }
-    )
-
-
-def _prepare_seed_table(store: ContentStoreConfig, t: pa.Table) -> pa.Table:
-    """Canonicalize the seed rows and drop the ones robots disallow."""
-    t = canonicalize_batch(t)
-    hosts, canon = t["host"].to_pylist(), t["url_canon"].to_pylist()
-    allowed = [robots_allowed(store, h, path_query_of(c)) for h, c in zip(hosts, canon)]
-    return _frontier_table(t.filter(pa.array(allowed, pa.bool_())))
+def _seed_rows(store: ContentStoreConfig, seeds: list, disc_link_start: int) -> pa.Table:
+    """Seed URLs -> the robots-allowed ones as frontier rows keyed
+    ``(-1, -1, seed index)`` at depth 0."""
+    rows, idx = url_rows(pa.array(seeds, pa.string()), store)
+    return frontier_rows(rows, 0, -1, -1, disc_link_start + idx)
 
 
 def _dedupe_first_seed(t: pa.Table) -> pa.Table:
     """Keep the first occurrence (lowest disc_link) of each URL."""
-    df = t.to_pandas().sort_values("disc_link", kind="mergesort")
-    df = df.drop_duplicates(subset=["url_hex"], keep="first")
-    return pa.Table.from_pandas(df, preserve_index=False).cast(FRONTIER_SCHEMA)
+    t = t.take(np.argsort(t["disc_link"].to_numpy(), kind="stable"))
+    _, first = _unique_rows(digests_from_sha1_column(t["url_sha1"]))
+    return t.take(np.sort(first))
 
 
 @ray.remote
@@ -577,8 +564,7 @@ def _seed_chunk_parts(store: ContentStoreConfig, seeds: list,
                       disc_link_start: int, n_parts: int) -> list:
     """One seed chunk -> canonicalize + robots + partition split (the
     per-URL Python work runs in parallel tasks, not on the driver)."""
-    t = _prepare_seed_table(store, _seed_table(seeds, disc_link_start))
-    return _split_frontier(t, n_parts)
+    return _split_frontier(_seed_rows(store, seeds, disc_link_start), n_parts)
 
 
 @ray.remote
@@ -622,8 +608,7 @@ def build_seed_parts(cfg: CrawlConfig, seen: ShardedSeenSet) -> list:
     n_parts = seen.n_shards
     seeds = seed_urls(cfg.store, cfg.n_seeds)
     if len(seeds) <= _SEED_CHUNK:
-        t = _prepare_seed_table(cfg.store, _seed_table(seeds, 0))
-        t = _dedupe_first_seed(t)
+        t = _dedupe_first_seed(_seed_rows(cfg.store, seeds, 0))
         if t.num_rows:
             mask = seen.check_and_add(
                 digests_from_sha1_column(t["url_sha1"]),
@@ -648,11 +633,6 @@ def build_seed_parts(cfg: CrawlConfig, seen: ShardedSeenSet) -> list:
         )
         for p in range(n_parts)
     ]
-
-
-def build_seed_frontier(cfg: CrawlConfig, seen: ShardedSeenSet) -> pa.Table:
-    """Single-table convenience wrapper over ``build_seed_parts``."""
-    return pa.concat_tables(ray.get(build_seed_parts(cfg, seen)))
 
 
 def run_crawl(
@@ -859,11 +839,11 @@ def run_crawl(
             # task per bundle of consecutive admitted slices of at
             # least fetch_batch rows (politeness already enforced).
             # One pass per row produces the payload, the log columns
-            # and the link-discovery columns; tasks reuse the warm
-            # worker pool and hold no standing CPU reservation.  Each
-            # task explodes its page links and returns them split by
-            # seen shard, one slice per shard, next to its log and
-            # payload outputs; it makes no actor call.
+            # and the out-links as flat frontier rows; tasks reuse the
+            # warm worker pool and hold no standing CPU reservation.
+            # Each task returns its link rows split by seen shard, one
+            # slice per shard, next to its log and payload outputs; it
+            # makes no actor call.
             payload_cols = [
                 "image_id", "bytes", "w", "h", "fmt", "caption", "phash", "ok",
             ]
@@ -910,10 +890,11 @@ def run_crawl(
             _mark("payload_join")
 
             # ---- link barrier: one process_wave() per shard takes
-            # that shard's link slice from every fused task (wave
-            # dedupe by discovery key, seen test-and-set) and returns
-            # the new frontier rows plus (count, timings); only the
-            # small second return crosses to the driver.
+            # that shard's link slice from every fused task (sort by
+            # discovery key, one seen test-and-set that also dedupes
+            # the wave) and returns the new frontier rows plus (count,
+            # timings); only the small second return crosses to the
+            # driver.
             barrier = [
                 shard.process_wave.options(num_returns=2).remote(
                     *[r[2 + s] for r in rounds]

@@ -1296,9 +1296,8 @@ def q34_grouped_topk(sf_dir: str) -> rd.Dataset:
         return out[["o_custkey", "o_orderkey", "o_totalprice", "rnk"]]
 
     # per-block local prune first: only each block's per-key top-3
-    # survive to the shuffle (same safe-prune argument as the
-    # politeness combiner — a global top-3 row is a top-3 row of its
-    # block)
+    # survive to the shuffle (a safe prune: a global top-3 row is a
+    # top-3 row of its block)
     def local_prune(b: "pd.DataFrame") -> "pd.DataFrame":
         b = b.sort_values(
             ["o_custkey", "o_totalprice", "o_orderkey"],

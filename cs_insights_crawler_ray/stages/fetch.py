@@ -10,7 +10,8 @@ column), never exceptions — the reference instead dies on the first
 failed GET (SURVEY.md §4 "Retries: none").
 
 The crawl's wave loop calls ``fetch_decode_link_task`` from its fused
-per-bundle task (pipelines/crawl.py ``_fused_wave``).  Politeness note:
+per-bundle task (pipelines/crawl.py ``_fused_wave``), which gives the
+flat link rows it returns their depth and discovery key.  Politeness note:
 the per-host request budget is enforced *upstream* by wave admission
 (state/politeness.py); by the time a batch reaches these tasks every
 row is already admitted, so they can run flat out.
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..fixtures.content_store import ContentStoreConfig, fetch_page, robots_allowed
-from ..functions.urls import digest_arrays, url_columns
+from ..fixtures.content_store import ContentStoreConfig, fetch_page
+from .links import link_rows
 
 
 _FETCH_COLS = (
@@ -75,45 +75,17 @@ def fetch_decode_task(batch: pa.Table, cfg: ContentStoreConfig, extract: bool = 
     return out
 
 
-def fetch_decode_link_task(
-    batch: pa.Table, cfg: ContentStoreConfig, extract: bool = False
-) -> pa.Table:
+def fetch_decode_link_task(batch: pa.Table, cfg: ContentStoreConfig, extract: bool = False):
     """Fully-fused per-row wave stage: fetch + decode-verify
     (+features/embedding) + per-link canonicalize/hash/robots.
 
     All Python-level per-row work of a wave lives in this ONE call, so
     the wave's fused tasks keep every core on it for the whole fetch
-    phase; the downstream link branch is then a vectorized explode
-    (link prep as a separate pass left cores idle behind the fetch
-    barrier — 6-10s/wave at 32 CPUs, measured).  Out-links are emitted
-    as aligned list columns: link_canon / link_hex / link_sha1 /
-    link_host / link_host_hash / link_allowed (robots verdict).
+    phase (link prep as a separate pass left cores idle behind the
+    fetch barrier — 6-10s/wave at 32 CPUs, measured).  Returns the
+    fetched rows followed by ``stages.links.link_rows`` of their
+    ``links`` column: the robots-allowed out-links as flat URL rows,
+    each one's parent row index and its position in that row's list.
     """
     out = fetch_decode_task(batch, cfg, extract)
-    for name, col in prepare_links(out["links"], cfg).items():
-        out = out.append_column(name, col)
-    return out
-
-
-def prepare_links(links: pa.ChunkedArray, cfg: ContentStoreConfig) -> dict:
-    """The six link list columns of a ``links`` list<string> column,
-    in one pass per link (``functions.urls.url_columns``): each column
-    is one flat array wrapped with the ``links`` column's offsets, and
-    ``link_hex`` is derived from the concatenated SHA-1 digests.  A
-    null list yields an empty one."""
-    links = links.combine_chunks()
-    lens = pc.fill_null(pc.list_value_length(links), 0).to_numpy()
-    offsets = pa.array(np.concatenate([[0], np.cumsum(lens)]), pa.int32())
-    canon, hosts, paths, digests, hh = url_columns(pc.list_flatten(links))
-    sha, hexes = digest_arrays(digests)
-    host_list = hosts.to_numpy(zero_copy_only=False).tolist()
-    allowed = [robots_allowed(cfg, h, p) for h, p in zip(host_list, paths)]
-    cols = {
-        "link_canon": canon,
-        "link_hex": hexes,
-        "link_sha1": sha,
-        "link_host": hosts,
-        "link_host_hash": pa.array(hh, pa.uint64()),
-        "link_allowed": pa.array(allowed, pa.bool_()),
-    }
-    return {k: pa.ListArray.from_arrays(offsets, v) for k, v in cols.items()}
+    return (out, *link_rows(out["links"], cfg))

@@ -1,49 +1,67 @@
-"""Link discovery: the vectorized explode of the fused fetch task's
-prepared link columns into frontier rows."""
+"""Link discovery: the one URL-row kernel behind both the seed list and
+the fused fetch task's out-links.
+
+``url_rows`` turns a flat array of raw URLs into the robots-allowed
+URLs' ``url_canon``, ``url_sha1`` and ``host_hash`` columns;
+``link_rows`` runs it over a page's ``links`` list column and reports
+each kept link's parent row and position in its list.  Each caller
+then attaches its own depth and discovery key with ``frontier_rows``,
+giving the 7-column ``FRONTIER_SCHEMA`` row: the seeds key
+``(-1, -1, seed index)`` at depth 0 (pipelines/crawl.py
+``_seed_rows``), the fused wave task ``(wave, parent fetch_seq, link
+position)`` at the parent's depth + 1 (``_FusedWaveTask``).  Robots
+is a pure function of the store config, so no rules cache exists.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..fixtures.content_store import ContentStoreConfig, robots_allowed
+from ..functions.urls import url_columns
 from ..state.seen import FRONTIER_SCHEMA
 
+_KEY_FIELDS = list(FRONTIER_SCHEMA)[3:]  # depth + discovery key
 
-def explode_prepared(batch: pa.Table, wave: int, max_depth: int) -> pa.Table:
-    """Vectorized explode of the fused stage's prepared link columns
-    (stages/fetch.py fetch_decode_link_task) straight into canonical
-    frontier rows: list_flatten + np.repeat — no per-link Python.
 
-    Discovery key carried per row: (disc_wave=wave, disc_parent =
-    parent fetch_seq, disc_link = position in the page's link list).
-    Robots-blocked links and depth overruns are dropped here.
-    """
-    import pyarrow.compute as pc
-
-    t = batch.filter(pc.equal(batch["status"], pa.scalar("200")))
-    if t.num_rows == 0:
-        return FRONTIER_SCHEMA.empty_table()
-    lens = pc.list_value_length(t["link_canon"]).to_numpy(zero_copy_only=False)
-    total = int(lens.sum())
-    if total == 0:
-        return FRONTIER_SCHEMA.empty_table()
-    parent = np.repeat(t["fetch_seq"].to_numpy(zero_copy_only=False), lens)
-    depth = np.repeat(t["depth"].to_numpy(zero_copy_only=False) + 1, lens).astype(np.int32)
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    link_idx = (np.arange(total) - np.repeat(starts, lens)).astype(np.int32)
-    allowed = pc.list_flatten(t["link_allowed"]).to_numpy(zero_copy_only=False)
-    keep = pa.array(allowed & (depth <= max_depth))
-    out = pa.table(
-        {
-            "url_canon": pc.list_flatten(t["link_canon"]),
-            "url_hex": pc.list_flatten(t["link_hex"]),
-            "url_sha1": pc.list_flatten(t["link_sha1"]).cast(pa.binary(20)),
-            "host": pc.list_flatten(t["link_host"]),
-            "host_hash": pc.list_flatten(t["link_host_hash"]).cast(pa.uint64()),
-            "depth": pa.array(depth, pa.int32()),
-            "disc_wave": pa.array(np.full(total, wave, dtype=np.int32), pa.int32()),
-            "disc_parent": pa.array(parent, pa.int64()),
-            "disc_link": pa.array(link_idx, pa.int32()),
-        }
+def url_rows(urls: pa.Array, store: ContentStoreConfig) -> tuple[pa.Table, np.ndarray]:
+    """A string array of raw URLs -> (the robots-allowed URLs'
+    ``url_canon``, ``url_sha1`` and ``host_hash`` columns, their
+    indices into ``urls``), in one pass per URL
+    (``functions.urls.url_columns``).  ``url_sha1`` is a
+    fixed_size_binary(20) array over the digest buffer itself."""
+    canon, hosts, paths, digests, hh = url_columns(urls)
+    allowed = [robots_allowed(store, h, p) for h, p in zip(hosts, paths)]
+    sha = pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(20), len(allowed), [None, pa.py_buffer(digests)]
     )
-    return out.filter(keep)
+    rows = pa.table(
+        {"url_canon": canon, "url_sha1": sha, "host_hash": pa.array(hh, pa.uint64())}
+    )
+    idx = np.flatnonzero(np.array(allowed, bool))
+    return rows.take(idx), idx
+
+
+def link_rows(links: pa.ChunkedArray, store: ContentStoreConfig):
+    """A ``links`` list<string> column -> (``url_rows`` of all its
+    links in row order, each kept link's row index, its position in
+    that row's list).  A null list counts as an empty one."""
+    links = links.combine_chunks()
+    lens = pc.fill_null(pc.list_value_length(links), 0).to_numpy()
+    rows, idx = url_rows(pc.list_flatten(links), store)
+    parent = np.repeat(np.arange(lens.size), lens)[idx]
+    position = idx - (np.cumsum(lens) - lens)[parent]
+    return rows, parent, position
+
+
+def frontier_rows(rows: pa.Table, depth, disc_wave, disc_parent, disc_link) -> pa.Table:
+    """``url_rows`` output + a depth and discovery key per row (arrays,
+    or scalars shared by every row) -> ``FRONTIER_SCHEMA`` rows."""
+    n = rows.num_rows
+    key = [
+        pa.array(np.broadcast_to(v, n), f.type)
+        for v, f in zip((depth, disc_wave, disc_parent, disc_link), _KEY_FIELDS)
+    ]
+    return pa.Table.from_arrays(rows.columns + key, schema=FRONTIER_SCHEMA)

@@ -24,14 +24,10 @@ two-term form.  Like authority, recency only reorders the inter-host
 wave ranking; per-host BUDGET eligibility stays discovery-order, so
 politeness is recency-blind.
 
-Implementation shape: the engine's production path is
-``partition_candidates`` over each incremental frontier partition's
-HEAD (state/frontier.py — hosts never straddle partitions, so the
-per-host rank/budget/score pass is partition-local and shuffle-free).
-``local_host_topk`` remains as the combiner for BLOCKED inputs (it
-pre-prunes every block to <= budget rows per host, a provably safe
-prune before any exchange — see test_local_topk_is_safe_prune); with
-host-hash-partitioned inputs it's a no-op.
+Implementation shape: admission is ``partition_candidates`` over each
+incremental frontier partition's HEAD (state/frontier.py — hosts never
+straddle partitions, so the per-host rank/budget/score pass is
+partition-local and shuffle-free).
 """
 
 from __future__ import annotations
@@ -45,27 +41,6 @@ HOST_RANK_CAP = 999
 
 def score_of(depth: np.ndarray, host_rank: np.ndarray) -> np.ndarray:
     return depth.astype(np.float64) + 0.001 * np.minimum(host_rank, HOST_RANK_CAP)
-
-
-def local_host_topk(batch: pd.DataFrame, host_budget: int) -> pd.DataFrame:
-    """Per-block combiner: keep at most host_budget rows per host,
-    ordered by discovery key. Safe pre-prune: any row outside a
-    block-local top-budget can never be inside the global top-budget
-    for its host (discovery-key order is total)."""
-    return (
-        batch.sort_values(DISCOVERY_KEY, kind="mergesort")
-        .groupby("host_hash", sort=False)
-        .head(host_budget)
-    )
-
-
-def host_admission(group: pd.DataFrame, host_budget: int) -> pd.DataFrame:
-    """Per-host global step (inside groupby(host_hash).map_groups):
-    rank by discovery key, keep the first host_budget, attach score."""
-    g = group.sort_values(DISCOVERY_KEY, kind="mergesort").head(host_budget).copy()
-    host_rank = np.arange(len(g))
-    g["score"] = score_of(g["depth"].to_numpy(), host_rank)
-    return g
 
 
 def _auth_neg(df: pd.DataFrame, auth: dict | None) -> np.ndarray:
@@ -140,15 +115,3 @@ def partition_candidates(
         ["score", "auth_neg"] + DISCOVERY_KEY, kind="mergesort"
     ).head(wave_size)
 
-
-def partition_admission(part: pd.DataFrame, host_budget: int) -> pd.DataFrame:
-    """Vectorized multi-host admission for one hash PARTITION
-    (``host_hash % n_parts`` — every host's rows are fully contained
-    in one partition): the per-host budget cut + score, without the
-    wave_size cut or authority tie-break.  Thin wrapper over
-    ``_budget_scored`` (ONE copy of the rank/budget/score logic — the
-    production path is ``partition_candidates``); kept for tests and
-    for callers that want budget-capped rows without wave ranking."""
-    return _budget_scored(part, host_budget, None).drop(
-        columns=["auth_neg", "admission_part"], errors="ignore"
-    )

@@ -35,10 +35,11 @@ runs through it:
 
 Determinism under parallelism: the fused fetch tasks return their
 link rows split by shard, and each shard's ``process_wave`` takes all
-of a wave's slices in one call.  It keeps the lowest discovery key per
-URL *before* the seen filter, so within a wave every digest is tested
-exactly once and the answer is independent of task order and retries;
-across waves the wave barrier orders adds.
+of a wave's slices in one call.  It sorts them by discovery key and
+hands every row to one test-and-set, which reports only a digest's
+first occurrence as new, so within a wave the lowest discovery key per
+URL wins whatever the task order and retries; across waves the wave
+barrier orders adds.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ from .cuckoo import CuckooFilter
 FRONTIER_SCHEMA = pa.schema(
     [
         ("url_canon", pa.string()),
-        ("url_hex", pa.string()),
         ("url_sha1", pa.binary(20)),
-        ("host", pa.string()),
         ("host_hash", pa.uint64()),
         ("depth", pa.int32()),
         ("disc_wave", pa.int32()),
@@ -68,8 +67,6 @@ FRONTIER_SCHEMA = pa.schema(
         ("disc_link", pa.int32()),
     ]
 )
-
-_DISCOVERY_KEY = ["disc_wave", "disc_parent", "disc_link"]
 
 
 def _digest_keys(rows: np.ndarray):
@@ -345,30 +342,27 @@ class _SeenShardImpl:
         fused fetch task -> (the NEW frontier rows in the canonical
         schema, (their count, phase timings)).
 
-        Sorting by discovery key and keeping the first row per
-        ``url_hex`` makes the answer independent of the slices' order
-        and of a slice given twice; the seen test-and-set then drops
-        the URLs of earlier waves.  Every call is one deterministic
-        pass, and nothing is buffered between calls."""
-        # timing keys: fold_tail = concat + to_pandas, merge = sort +
-        # dedupe, seen = test-and-set (the crawl's links_* phases)
+        The rows are sorted by discovery key and all passed to
+        ``check_and_add``, whose mask keeps only the first occurrence
+        of each unseen digest: the lowest discovery key per URL, minus
+        the URLs of earlier waves.  The answer is independent of the
+        slices' order and of a slice given twice; every call is one
+        deterministic pass, and nothing is buffered between calls."""
+        # timing keys: fold_tail = concat, merge = discovery-key sort,
+        # seen = test-and-set + filter (the crawl's links_* phases)
         t0 = time.perf_counter()
         t = pa.concat_tables(tables)
         if t.num_rows == 0:
             return FRONTIER_SCHEMA.empty_table(), (
                 0, {"fold_tail": round(time.perf_counter() - t0, 3)}
             )
-        df = t.to_pandas()
         t1 = time.perf_counter()
-        df = df.sort_values(_DISCOVERY_KEY, kind="mergesort").drop_duplicates(
-            "url_hex", keep="first"
-        )
-        out = pa.Table.from_pandas(
-            df[FRONTIER_SCHEMA.names], preserve_index=False
-        ).cast(FRONTIER_SCHEMA)
+        t = t.take(np.lexsort([
+            t[c].to_numpy() for c in ("disc_link", "disc_parent", "disc_wave")
+        ]))
         t2 = time.perf_counter()
-        mask = self.check_and_add(digests_from_sha1_column(out["url_sha1"]))
-        out = out.filter(pa.array(mask))
+        mask = self.check_and_add(digests_from_sha1_column(t["url_sha1"]))
+        out = t.filter(pa.array(mask))
         t3 = time.perf_counter()
         return out, (out.num_rows, {
             "fold_tail": round(t1 - t0, 3),
@@ -383,10 +377,11 @@ class _SeenShardImpl:
         Duplicate-safe within a batch: if the same digest appears k
         times, only its FIRST occurrence (lowest index) is reported
         new — membership is evaluated against pre-batch state, so
-        without the unique() pass every copy would read "new"."""
+        without the unique() pass every copy would read "new".  The
+        ``checked`` counter counts the distinct digests of each call."""
         d = np.ascontiguousarray(digests).reshape(-1, 20)
-        self.n_checked += d.shape[0]
         uniq, first_idx = _unique_rows(d)
+        self.n_checked += uniq.shape[0]
         new_uniq = ~self.members.contains_rows(uniq)
         new = uniq[new_uniq]
         if new.shape[0]:

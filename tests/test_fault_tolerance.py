@@ -138,7 +138,7 @@ def test_process_wave_is_order_and_retry_invariant():
     """The link barrier is a function of the wave's slices alone: given
     once, given twice (the shape of a retried task's outputs) or in
     permuted order, ``process_wave`` returns the same table, equal to a
-    scalar reference — the lowest discovery key per url_hex, minus the
+    scalar reference — the lowest discovery key per url_sha1, minus the
     digests already seen.  Ray-free: the slices come from the fused
     task called in-process."""
     store = ContentStoreConfig(seed=33, n_hosts=6, pages_per_host=100)
@@ -174,8 +174,8 @@ def test_process_wave_is_order_and_retry_invariant():
         best = {}
         for r in rows:
             dk = (r["disc_wave"], r["disc_parent"], r["disc_link"])
-            if r["url_hex"] not in best or dk < best[r["url_hex"]][0]:
-                best[r["url_hex"]] = (dk, r)
+            if r["url_sha1"] not in best or dk < best[r["url_sha1"]][0]:
+                best[r["url_sha1"]] = (dk, r)
         ref = [
             r for _, r in sorted(best.values(), key=lambda e: e[0])
             if r["url_sha1"] not in seen_before

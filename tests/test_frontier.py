@@ -32,12 +32,10 @@ def _rows(rng, n, wave, hosts, parent_base=0):
     df = pd.DataFrame(
         {
             "url_canon": [f"u{wave}_{i}" for i in range(n)],
-            "url_hex": [f"{wave:04d}{i:08d}" for i in range(n)],
             "url_sha1": [
                 (wave + 1).to_bytes(4, "big") + i.to_bytes(16, "big")
                 for i in range(n)
             ],
-            "host": [f"h{h}" for h in hh],
             "host_hash": hh.astype(np.uint64),
             "depth": rng.integers(0, 6, size=n).astype(np.int32),
             "disc_wave": np.full(n, wave, np.int32),

@@ -9,11 +9,7 @@ import pytest
 
 from cs_insights_crawler_ray.fixtures.content_store import ContentStoreConfig
 from cs_insights_crawler_ray.pipelines.crawl import CrawlConfig, read_crawl_log, run_crawl
-from cs_insights_crawler_ray.state.politeness import (
-    DISCOVERY_KEY,
-    local_host_topk,
-    partition_admission,
-)
+from cs_insights_crawler_ray.state.politeness import partition_candidates
 
 
 def _frontier_df(n_hosts, rows_per_host, seed=1):
@@ -39,35 +35,18 @@ def _frontier_df(n_hosts, rows_per_host, seed=1):
     return df
 
 
-def test_local_topk_is_safe_prune():
-    """Rows outside a block-local per-host top-B can never be in the
-    global per-host top-B (total order on the discovery key)."""
-    df = _frontier_df(4, 6)
-    B = 3
-    blocks = np.array_split(df.sample(frac=1.0, random_state=7), 5)
-    pruned = pd.concat([local_host_topk(b, B) for b in blocks])
-    pruned["admission_part"] = 0
-    got = partition_admission(pruned, B)
-    full = df.copy()
-    full["admission_part"] = 0
-    want = partition_admission(full, B)
-    key = DISCOVERY_KEY
-    pd.testing.assert_frame_equal(
-        got.sort_values(key).reset_index(drop=True)[key + ["score"]],
-        want.sort_values(key).reset_index(drop=True)[key + ["score"]],
-    )
-
-
 def test_partition_admission_budget_invariant():
+    """``partition_candidates`` with a wave wide enough for every row
+    keeps exactly min(rows, B) rows of each host: the hot host is
+    capped at B despite having 50x the rows."""
     df = _frontier_df(6, 4)
-    df["admission_part"] = 0
     B = 5
-    out = partition_admission(df, B)
+    out = partition_candidates(df, B, wave_size=len(df))
     per_host = out.groupby("host_hash").size()
-    assert (per_host <= B).all()
-    # the hot host is capped at B despite having 50x the rows
+    want = df.groupby("host_hash").size().clip(upper=B)
+    pd.testing.assert_series_equal(per_host.sort_index(), want.sort_index())
     hot = df.groupby("host_hash").size().idxmax()
-    assert per_host.get(hot, 0) == B
+    assert per_host[hot] == B
 
 
 def test_crawl_respects_budget_per_wave(tmp_path):

@@ -4,16 +4,28 @@ re-fetches and produces byte-identical final outputs
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
 from cs_insights_crawler_ray.fixtures.content_store import ContentStoreConfig
-from cs_insights_crawler_ray.pipelines.crawl import CrawlConfig, read_crawl_log, run_crawl
+from cs_insights_crawler_ray.functions.urls import host_hash64
+from cs_insights_crawler_ray.pipelines.crawl import (
+    CrawlConfig,
+    _read_admitted_keys,
+    _read_part,
+    _replay_part,
+    read_crawl_log,
+    run_crawl,
+)
 from cs_insights_crawler_ray.sources.checkpoint import latest_manifest
+from cs_insights_crawler_ray.state.seen import FRONTIER_SCHEMA
 
 CFG = CrawlConfig(
     store=ContentStoreConfig(seed=11, n_hosts=12, pages_per_host=400),
@@ -340,3 +352,72 @@ def test_seen_shard_death_at_link_barrier_aborts_then_resumes(
     assert [(s["exact_size"], s["new"]) for s in part2["seen_stats"]] == [
         (s["exact_size"], s["new"]) for s in full["seen_stats"]
     ]
+
+
+# the frontier row format before url_hex and host were dropped
+_NINE_COLUMN_SCHEMA = pa.schema([
+    ("url_canon", pa.string()),
+    ("url_hex", pa.string()),
+    ("url_sha1", pa.binary(20)),
+    ("host", pa.string()),
+    ("host_hash", pa.uint64()),
+    ("depth", pa.int32()),
+    ("disc_wave", pa.int32()),
+    ("disc_parent", pa.int64()),
+    ("disc_link", pa.int32()),
+])
+
+
+def _nine_column_rows(wave: int, n: int) -> pa.Table:
+    urls = [f"https://h{i % 3:04d}.test/p/{wave * 100 + i}" for i in range(n)]
+    sha = [hashlib.sha1(u.encode()).digest() for u in urls]
+    hosts = [u.split("/")[2] for u in urls]
+    return pa.table({
+        "url_canon": urls,
+        "url_hex": [d.hex() for d in sha],
+        "url_sha1": pa.array(sha, pa.binary(20)),
+        "host": hosts,
+        "host_hash": pa.array([host_hash64(h) for h in hosts], pa.uint64()),
+        "depth": pa.array([wave + 1] * n, pa.int32()),
+        "disc_wave": pa.array([wave] * n, pa.int32()),
+        "disc_parent": pa.array([10 * wave + i // 2 for i in range(n)], pa.int64()),
+        "disc_link": pa.array([i % 2 for i in range(n)], pa.int32()),
+    }, schema=_NINE_COLUMN_SCHEMA)
+
+
+def test_resume_reads_nine_column_backlog(tmp_path):
+    """A backlog written in the older 9-column row format (with
+    url_hex and host) still resumes: the full snapshot's rest + new
+    halves and a later delta wave's new rows read back as the
+    7-column FRONTIER_SCHEMA with the same rows."""
+    full, delta = tmp_path / "wave=000001", tmp_path / "wave=000002"
+    full.mkdir()
+    delta.mkdir()
+    rest, new, later = _nine_column_rows(0, 6), _nine_column_rows(1, 4), _nine_column_rows(2, 3)
+    pq.write_table(rest, full / "part0000_rest.parquet")
+    pq.write_table(new, full / "part0000_new.parquet")
+    pq.write_table(later, delta / "part0000_new.parquet")
+    admitted = pa.table({"disc_wave": pa.array([0, 1], pa.int32()),
+                         "disc_parent": pa.array([1, 10], pa.int64()),
+                         "disc_link": pa.array([1, 0], pa.int32())})
+    pq.write_table(admitted, delta / "admitted.parquet")
+
+    def current(t: pa.Table) -> list:
+        return t.drop_columns(["url_hex", "host"]).to_pylist()
+
+    base_ref = _read_part.remote(
+        [str(full / "part0000_rest.parquet"), str(full / "part0000_new.parquet")]
+    )
+    base = ray.get(base_ref)
+    assert base.schema == FRONTIER_SCHEMA
+    assert base.to_pylist() == current(rest) + current(new)
+
+    steps = [(_read_admitted_keys.remote(str(delta / "admitted.parquet")),
+              str(delta / "part0000_new.parquet"))]
+    part = ray.get(_replay_part.remote(base_ref, steps))
+    assert part.schema == FRONTIER_SCHEMA
+    gone = {(0, 1, 1), (1, 10, 0)}
+    kept = [r for r in base.to_pylist()
+            if (r["disc_wave"], r["disc_parent"], r["disc_link"]) not in gone]
+    assert len(kept) == 8
+    assert part.to_pylist() == kept + current(later)

@@ -79,6 +79,43 @@ def test_seen_shard_exactness(tmp_path):
     assert s2.check_and_add(_digests(10, b"new")).all()
 
 
+def test_checked_counts_distinct_digests_per_call():
+    """``checked`` counts each call's distinct digests.  The link
+    barrier hands ``check_and_add`` every link row of a wave, repeats
+    included, so the count must equal what a deduped batch would have
+    added; ``new`` counts first occurrences only."""
+    import pyarrow as pa
+
+    from cs_insights_crawler_ray.state.seen import FRONTIER_SCHEMA
+
+    d = _digests(40)
+    batch = np.vstack([d, d[::2], d[:5]])
+    batch = batch[np.random.default_rng(1).permutation(batch.shape[0])]
+    s = _SeenShardImpl(0, capacity=1024)
+    assert int(s.check_and_add(batch).sum()) == 40
+    assert (s.stats()["checked"], s.stats()["new"]) == (40, 40)
+    s.check_and_add(np.vstack([d[:10], d[:10], _digests(5, b"x")]))
+    assert (s.stats()["checked"], s.stats()["new"]) == (55, 45)
+
+    # the same through process_wave: one slice given twice
+    n = 30
+    rows = pa.table({
+        "url_canon": [f"u{i % 20}" for i in range(n)],
+        "url_sha1": pa.array([bytes(r) for r in _digests(20, b"w")[np.arange(n) % 20]],
+                             pa.binary(20)),
+        "host_hash": pa.array([7] * n, pa.uint64()),
+        "depth": pa.array([1] * n, pa.int32()),
+        "disc_wave": pa.array([3] * n, pa.int32()),
+        "disc_parent": pa.array(np.arange(n) // 4, pa.int64()),
+        "disc_link": pa.array(np.arange(n) % 4, pa.int32()),
+    }, schema=FRONTIER_SCHEMA)
+    w = _SeenShardImpl(0, capacity=1024)
+    out, (n_new, _) = w.process_wave(rows, rows)
+    assert n_new == out.num_rows == 20
+    assert out["disc_parent"].to_pylist() == (np.arange(20) // 4).tolist()
+    assert (w.stats()["checked"], w.stats()["new"]) == (20, 20)
+
+
 def test_exact_shard_is_runs_only_and_matches_set_oracle(tmp_path, monkeypatch):
     """An exact shard holds sorted digest runs only: constructing a
     bloom or cuckoo anywhere in its life (init, six waves, delta

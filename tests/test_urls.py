@@ -5,13 +5,17 @@ from urllib.parse import urlsplit
 import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
+from cs_insights_crawler_ray.fixtures.content_store import (
+    ContentStoreConfig,
+    robots_allowed,
+)
 from cs_insights_crawler_ray.functions.urls import (
     canonical_parts,
-    canonicalize_batch,
     canonicalize_url,
     host_hash64,
     url_sha1,
 )
+from cs_insights_crawler_ray.stages.links import url_rows
 
 
 def test_canonicalize_basics():
@@ -74,14 +78,45 @@ def test_hashes_stable():
     assert 0 <= host_hash64("h0001.test") < 2**64
 
 
-def test_canonicalize_batch_columns():
-    t = pa.table({"url": ["HTTP://H0.test:80/a/../b", "https://h1.test/p/1"]})
-    out = canonicalize_batch(t)
-    assert out.column_names == ["url", "url_canon", "url_hex", "url_sha1", "host", "host_hash"]
-    assert out["url_canon"].to_pylist() == ["http://h0.test/b", "https://h1.test/p/1"]
-    assert out["host"].to_pylist() == ["h0.test", "h1.test"]
-    assert out.schema.field("url_sha1").type == pa.binary(20)
-    assert out.schema.field("host_hash").type == pa.uint64()
+def test_url_rows_columns():
+    t, idx = url_rows(pa.array(["HTTP://H0.test:80/a/../b", "https://h1.test/p/1"]),
+                      ContentStoreConfig())
+    assert t.column_names == ["url_canon", "url_sha1", "host_hash"]
+    assert t["url_canon"].to_pylist() == ["http://h0.test/b", "https://h1.test/p/1"]
+    assert t.schema.field("url_sha1").type == pa.binary(20)
+    assert t.schema.field("host_hash").type == pa.uint64()
+    assert idx.tolist() == [0, 1]
+
+
+# fixture-shaped URLs, some of them robots-blocked (h0000, h0004, ...
+# disallow pages p with p % 7 == host index % 7), in canonical and
+# non-canonical spellings
+FIXTURE_URLS = st.builds(
+    lambda scheme, h, port, p: f"{scheme}://h{h:04d}.test{port}/p/{p}",
+    st.sampled_from(["https", "HTTPS"]),
+    st.integers(0, 12),
+    st.sampled_from(["", "", ":443"]),
+    st.integers(0, 20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(URLS, FIXTURE_URLS), max_size=12))
+def test_url_rows_match_per_url_functions(urls):
+    """The URL-row kernel behind both the seed list and the fused
+    task's links equals the per-URL functions: the robots-allowed
+    URLs, in input order, with their canonical form, SHA-1 and host
+    hash."""
+    store = ContentStoreConfig()
+    want = []
+    for i, u in enumerate(urls):
+        c = canonicalize_url(u)
+        s = urlsplit(c)
+        if robots_allowed(store, s.netloc, s.path + (f"?{s.query}" if s.query else "")):
+            want.append((i, c, url_sha1(c), host_hash64(s.netloc)))
+    t, idx = url_rows(pa.array(urls, pa.string()), store)
+    got = list(zip(idx.tolist(), *(t[c].to_pylist() for c in t.column_names)))
+    assert got == want
 
 
 def test_resolve_link_relative_forms():
