@@ -283,13 +283,3 @@ def _fnv1a64_batch(tokens: np.ndarray) -> np.ndarray:
             h[live] = (h[live] ^ buf[offs[live] + j].astype(np.uint64)) * prime
     return h
 
-
-def hash64_str(s: str) -> np.uint64:
-    """FNV-1a 64-bit of a UTF-8 string (scalar form — the batch path
-    is _fnv1a64_batch; tests assert they agree)."""
-    h = np.uint64(14695981039346656037)
-    prime = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):
-        for b in s.encode("utf-8"):
-            h = (h ^ np.uint64(b)) * prime
-    return h

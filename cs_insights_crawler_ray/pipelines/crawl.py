@@ -35,6 +35,11 @@ that routes link slices to the seen shards) — LSM-style head + sorted
 runs + cursors, see ``state/frontier.py``.  Every per-wave frontier
 operation is partition-local AND frontier-size-free:
 
+    seeds        chunk tasks canonicalize/robots-filter the seed list
+                 and split it by partition, then one process_wave per
+                 shard over its chunk slices (the link barrier below:
+                 first seed index wins, overlap with a pre-populated
+                 seen set is an error) -> the partitions' seed tables
     wave start   admission candidates (per-host budget prefix of each
                  partition's HEAD, scored) were already computed by
                  the previous wave's merge tasks; the driver sorts
@@ -98,12 +103,7 @@ from ..stages.fetch import fetch_decode_link_task
 from ..stages.links import frontier_rows, url_rows
 from ..state import frontier
 from ..state.politeness import DISCOVERY_KEY, partition_candidates
-from ..state.seen import (
-    FRONTIER_SCHEMA,
-    ShardedSeenSet,
-    _unique_rows,
-    digests_from_sha1_column,
-)
+from ..state.seen import FRONTIER_SCHEMA, ShardedSeenSet
 
 # ONE source of truth for the frontier column list: a hand-maintained
 # copy here silently desynchronized from schema edits in state/seen.py
@@ -552,32 +552,50 @@ def _seed_rows(store: ContentStoreConfig, seeds: list, disc_link_start: int) -> 
     return frontier_rows(rows, 0, -1, -1, disc_link_start + idx)
 
 
-def _dedupe_first_seed(t: pa.Table) -> pa.Table:
-    """Keep the first occurrence (lowest disc_link) of each URL."""
-    t = t.take(np.argsort(t["disc_link"].to_numpy(), kind="stable"))
-    _, first = _unique_rows(digests_from_sha1_column(t["url_sha1"]))
-    return t.take(np.sort(first))
-
-
 @ray.remote
 def _seed_chunk_parts(store: ContentStoreConfig, seeds: list,
-                      disc_link_start: int, n_parts: int) -> list:
+                      disc_link_start: int, n_parts: int):
     """One seed chunk -> canonicalize + robots + partition split (the
-    per-URL Python work runs in parallel tasks, not on the driver)."""
-    return _split_frontier(_seed_rows(store, seeds, disc_link_start), n_parts)
+    per-URL Python work runs in parallel tasks, not on the driver);
+    the caller sets ``num_returns=n_parts``."""
+    parts = _split_frontier(_seed_rows(store, seeds, disc_link_start), n_parts)
+    return tuple(parts) if n_parts > 1 else parts[0]
 
 
-@ray.remote
-def _seed_part_finalize(shard, *chunks: pa.Table) -> pa.Table:
-    """Concat one partition's chunk slices, dedupe (first seed index
-    wins — URLs never straddle partitions, so per-partition dedupe is
-    global dedupe), mark seen in the co-located shard actor."""
-    t = pa.concat_tables([c for c in chunks if c.num_rows])
-    if t.num_rows == 0:
-        return FRONTIER_SCHEMA.empty_table()
-    t = _dedupe_first_seed(t)
-    mask = ray.get(shard.check_and_add.remote(digests_from_sha1_column(t["url_sha1"])))
-    if not mask.all():
+# seeds per chunk task: a bench-width seed list (98k) is prepared by 8
+# parallel tasks, not on the driver.  The chunk count never changes the
+# output: each shard's process_wave sorts all its slices by seed index
+# before its one test-and-set.
+_SEED_CHUNK = 12_500
+
+
+def build_seed_parts(cfg: CrawlConfig, seen: ShardedSeenSet) -> list:
+    """Seed list -> per-partition canonical frontier tables (object
+    refs), robots-filtered, deduped (first seed index wins), marked
+    seen. disc key = (-1, -1, seed_idx) — the analog of the reference's
+    listing order (s2client.py:153).
+
+    Chunk tasks of ``_SEED_CHUNK`` seeds do the canonicalize/robots/
+    split work (the per-URL Python cost is ~15µs — serial driver prep
+    of a 10^7-seed list would be minutes); a shorter list is one chunk,
+    and an empty one still makes one empty chunk.  Then each seen
+    shard takes its slice of every chunk in one ``process_wave`` call,
+    the barrier every wave's links pass: its seed-index sort plus
+    first-occurrence test-and-set is the dedupe, and its new rows are
+    the partition's seed table."""
+    n_parts = seen.n_shards
+    seeds = seed_urls(cfg.store, cfg.n_seeds)
+    chunks = []
+    for i in range(0, max(len(seeds), 1), _SEED_CHUNK):
+        r = _seed_chunk_parts.options(num_returns=n_parts).remote(
+            cfg.store, seeds[i : i + _SEED_CHUNK], i, n_parts
+        )
+        chunks.append(r if n_parts > 1 else [r])
+    rounds = [
+        shard.process_wave.options(num_returns=2).remote(*[c[p] for c in chunks])
+        for p, shard in enumerate(seen.shards)
+    ]
+    if any(new < checked for new, checked, _ in ray.get([r[1] for r in rounds])):
         # a real exception, not an assert: under python -O a silent
         # pass would leave seen-marked seeds in the frontier and wave 0
         # would re-fetch URLs the seen set says are already crawled
@@ -585,54 +603,7 @@ def _seed_part_finalize(shard, *chunks: pa.Table) -> pa.Table:
             "seed list overlaps a pre-populated seen set; pass a fresh "
             "ShardedSeenSet (or resume=True against its checkpoint)"
         )
-    return t
-
-
-# 12.5k: a bench-width seed list (98k) fans out 8 ways instead of 2
-# (2.2 s -> ~1 s of wave-0 admission); chunk count never changes the
-# output (per-partition finalize dedupes globally by seed index)
-_SEED_CHUNK = 12_500
-
-
-def build_seed_parts(cfg: CrawlConfig, seen: ShardedSeenSet) -> list:
-    """Seed list -> per-partition canonical frontier tables (object
-    refs), robots-filtered, deduped (first seed-index wins), marked
-    seen. disc key = (-1, -1, seed_idx) — the analog of the reference's
-    listing order (s2client.py:153).
-
-    Small seed lists are prepared on the driver; beyond _SEED_CHUNK the
-    canonicalize/robots/split work fans out in chunk tasks (the per-URL
-    Python cost is ~15µs — serial driver prep of a 10^7-seed list would
-    be minutes) and each partition finalizes in its own task against
-    its co-located seen shard."""
-    n_parts = seen.n_shards
-    seeds = seed_urls(cfg.store, cfg.n_seeds)
-    if len(seeds) <= _SEED_CHUNK:
-        t = _dedupe_first_seed(_seed_rows(cfg.store, seeds, 0))
-        if t.num_rows:
-            mask = seen.check_and_add(
-                digests_from_sha1_column(t["url_sha1"]),
-                t["host_hash"].to_numpy(zero_copy_only=False),
-            )
-            if not mask.all():
-                raise ValueError(
-                    "seed list overlaps a pre-populated seen set; pass a "
-                    "fresh ShardedSeenSet (or resume=True against its "
-                    "checkpoint)"
-                )
-        return [ray.put(p) for p in _split_frontier(t, n_parts)]
-    chunk_refs = [
-        _seed_chunk_parts.options(num_returns=n_parts).remote(
-            cfg.store, seeds[i : i + _SEED_CHUNK], i, n_parts
-        )
-        for i in range(0, len(seeds), _SEED_CHUNK)
-    ]
-    return [
-        _seed_part_finalize.remote(
-            seen.shards[p], *[chunk[p] for chunk in chunk_refs]
-        )
-        for p in range(n_parts)
-    ]
+    return [r[0] for r in rounds]
 
 
 def run_crawl(
@@ -893,8 +864,8 @@ def run_crawl(
             # that shard's link slice from every fused task (sort by
             # discovery key, one seen test-and-set that also dedupes
             # the wave) and returns the new frontier rows plus (count,
-            # timings); only the small second return crosses to the
-            # driver.
+            # checked, timings); only the small second return crosses
+            # to the driver.
             barrier = [
                 shard.process_wave.options(num_returns=2).remote(
                     *[r[2 + s] for r in rounds]
@@ -906,7 +877,7 @@ def run_crawl(
             n_new = sum(i[0] for i in infos)
             for key in ("fold_tail", "merge", "seen"):
                 phase_t[f"links_{key}"] = round(
-                    max(i[1].get(key, 0.0) for i in infos), 3
+                    max(i[2].get(key, 0.0) for i in infos), 3
                 )
             _mark("links")
 

@@ -813,13 +813,6 @@ def simhash64(text: str) -> int:
     return val - (1 << 64) if val >= 1 << 63 else val
 
 
-def hamming64_np(a: np.ndarray, b: int) -> np.ndarray:
-    """Hamming distance of an int64 array vs one signature — thin
-    alias over the table-lookup popcount (the old 64-iteration shift
-    loop this replaced was ~16x slower and invited accidental reuse)."""
-    return _popcount64((a.astype(np.int64) ^ np.int64(b)).astype(np.uint64))
-
-
 # 16-bit popcount lookup (64 KiB, built once per process): four table
 # gathers per uint64 — the vectorized path for bucket-local hamming
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)

@@ -118,18 +118,6 @@ def _read_jsonl_gz(files: list[str], with_seq: bool = False) -> rd.Dataset:
     ).map_batches(parse, batch_format="pyarrow")
 
 
-def promote_externalids(doc: dict) -> dict:
-    """F6 (s2processor.py:158-164): openaccessinfo.externalids is
-    promoted to top level; openaccessinfo is dropped.  (Scalar form —
-    the pipeline uses the batched promote_externalids_batch.)"""
-    oa = doc.get("openaccessinfo")
-    if oa and oa.get("externalids"):
-        doc = dict(doc)
-        doc["externalids"] = oa["externalids"]
-        doc.pop("openaccessinfo", None)
-    return doc
-
-
 def promote_externalids_batch(b: pd.DataFrame) -> pd.DataFrame:
     """Vectorized F6 over a pandas batch (object columns carry the
     nested dicts).  Dropping the key on a dict row == nulling the
@@ -463,14 +451,6 @@ def ingest_release(
             # csv needs flat columns; nested cols are json-encoded
             ds.map_batches(_flatten_for_csv, batch_format="pyarrow").write_csv(cp)
     return out
-
-
-def _rename_url_s2url(doc: dict) -> dict:
-    """F8 (s2processor.py:188-196): author['s2url'] = author.pop('url')."""
-    doc = dict(doc)
-    if "url" in doc:
-        doc["s2url"] = doc.pop("url")
-    return doc
 
 
 def _rename_url_s2url_batch(b: pd.DataFrame) -> pd.DataFrame:

@@ -88,14 +88,6 @@ def _grouped_sum_parts(
     )
 
 
-def _round_cols(t: pa.Table, cols: dict[str, int]) -> pa.Table:
-    for c, nd in cols.items():
-        t = t.set_column(
-            t.column_names.index(c), c, pc.round(t[c], ndigits=nd)
-        )
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point money/measure arithmetic.  The driver's numeric columns
 # are exact k-decimal values, so summing them as scaled int64 makes

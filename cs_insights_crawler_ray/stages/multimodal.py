@@ -82,12 +82,6 @@ def decode_audio_with_library(data: bytes):  # pragma: no cover - stub
     raise NotImplementedError("no audio codec libraries in this environment")
 
 
-def decode_video_with_library(data: bytes):  # pragma: no cover - stub
-    """Production path: PyAV/ffmpeg demux per worker process; frame
-    sampling without full decode via keyframe seeks."""
-    raise NotImplementedError("no video codec libraries in this environment")
-
-
 # ---------------------------------------------------------------------------
 # batch stages (real Ray plumbing)
 # ---------------------------------------------------------------------------

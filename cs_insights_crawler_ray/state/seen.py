@@ -34,12 +34,13 @@ runs through it:
   ``capacity``/``fp_rate`` size these sketches only.
 
 Determinism under parallelism: the fused fetch tasks return their
-link rows split by shard, and each shard's ``process_wave`` takes all
-of a wave's slices in one call.  It sorts them by discovery key and
-hands every row to one test-and-set, which reports only a digest's
-first occurrence as new, so within a wave the lowest discovery key per
-URL wins whatever the task order and retries; across waves the wave
-barrier orders adds.
+link rows split by shard, as the seed chunk tasks do the seed list,
+and each shard's ``process_wave`` takes all of a wave's slices in one
+call — the only way rows enter the set.  It sorts them by discovery
+key and hands every row to one test-and-set, which reports only a
+digest's first occurrence as new, so within a wave the lowest
+discovery key per URL wins whatever the task order and retries;
+across waves the wave barrier orders adds.
 """
 
 from __future__ import annotations
@@ -337,34 +338,38 @@ class _SeenShardImpl:
         self.n_new = 0
         self._pending_deltas: list = []  # new digests since last snapshot
 
-    def process_wave(self, *tables: pa.Table) -> tuple[pa.Table, tuple[int, dict]]:
-        """Link barrier: this shard's link slices of one wave, one per
-        fused fetch task -> (the NEW frontier rows in the canonical
-        schema, (their count, phase timings)).
+    def process_wave(self, *tables: pa.Table) -> tuple[pa.Table, tuple[int, int, dict]]:
+        """Link barrier: this shard's slices of one wave's links (one
+        per fused fetch task) or of the seed list (one per seed chunk)
+        -> (the NEW frontier rows in the canonical schema, (their
+        count, the count of distinct digests checked, phase timings)).
 
         The rows are sorted by discovery key and all passed to
         ``check_and_add``, whose mask keeps only the first occurrence
         of each unseen digest: the lowest discovery key per URL, minus
         the URLs of earlier waves.  The answer is independent of the
         slices' order and of a slice given twice; every call is one
-        deterministic pass, and nothing is buffered between calls."""
+        deterministic pass, and nothing is buffered between calls.
+        Fewer new rows than distinct digests means some URL was
+        already seen, which the seed round reports as an error."""
         # timing keys: fold_tail = concat, merge = discovery-key sort,
         # seen = test-and-set + filter (the crawl's links_* phases)
         t0 = time.perf_counter()
         t = pa.concat_tables(tables)
         if t.num_rows == 0:
             return FRONTIER_SCHEMA.empty_table(), (
-                0, {"fold_tail": round(time.perf_counter() - t0, 3)}
+                0, 0, {"fold_tail": round(time.perf_counter() - t0, 3)}
             )
         t1 = time.perf_counter()
         t = t.take(np.lexsort([
             t[c].to_numpy() for c in ("disc_link", "disc_parent", "disc_wave")
         ]))
         t2 = time.perf_counter()
+        checked = self.n_checked
         mask = self.check_and_add(digests_from_sha1_column(t["url_sha1"]))
         out = t.filter(pa.array(mask))
         t3 = time.perf_counter()
-        return out, (out.num_rows, {
+        return out, (out.num_rows, self.n_checked - checked, {
             "fold_tail": round(t1 - t0, 3),
             "merge": round(t2 - t1, 3),
             "seen": round(t3 - t2, 3),
@@ -391,11 +396,6 @@ class _SeenShardImpl:
         new_mask[first_idx[new_uniq]] = True
         self.n_new += int(new_mask.sum())
         return new_mask
-
-    def contains(self, digests: np.ndarray) -> np.ndarray:
-        return self.members.contains_rows(
-            np.ascontiguousarray(digests).reshape(-1, 20)
-        )
 
     def stats(self) -> dict:
         return {
@@ -483,8 +483,11 @@ SeenShard = ray.remote(num_cpus=0)(_SeenShardImpl)
 
 
 class ShardedSeenSet:
-    """Driver-side handle bundle; also usable from inside tasks (actor
-    handles serialize)."""
+    """The driver's handles to the shard actors.  Rows reach a shard
+    only as ``process_wave`` arguments, split by
+    ``pipelines.crawl._split_frontier``; the driver also snapshots,
+    restores and reads the stats of every shard, and no task holds a
+    shard handle."""
 
     def __init__(self, n_shards: int = 8, capacity_per_shard: int = 1 << 20,
                  fp_rate: float = 1e-3, exact: bool = True):
@@ -493,34 +496,6 @@ class ShardedSeenSet:
             SeenShard.remote(i, capacity_per_shard, fp_rate, exact)
             for i in range(n_shards)
         ]
-
-    def route(self, host_hash: np.ndarray) -> np.ndarray:
-        return (host_hash % np.uint64(self.n_shards)).astype(np.int64)
-
-    def _fan_out(self, method: str, digests: np.ndarray,
-                 host_hash: np.ndarray) -> np.ndarray:
-        """Route each row to its shard, call ``method`` on every shard
-        concurrently, and gather the bool answers in input order."""
-        d = np.ascontiguousarray(digests).reshape(-1, 20)
-        shard_of = self.route(host_hash)
-        mask = np.zeros(d.shape[0], dtype=bool)
-        refs, idxs = [], []
-        for s in range(self.n_shards):
-            sel = np.nonzero(shard_of == s)[0]
-            if sel.size:
-                refs.append(getattr(self.shards[s], method).remote(d[sel]))
-                idxs.append(sel)
-        for ref, sel in zip(refs, idxs):
-            mask[sel] = ray.get(ref)
-        return mask
-
-    def check_and_add(self, digests: np.ndarray, host_hash: np.ndarray) -> np.ndarray:
-        """Fan a batch out to shards concurrently; returns the NEW mask
-        aligned with the input order."""
-        return self._fan_out("check_and_add", digests, host_hash)
-
-    def contains(self, digests: np.ndarray, host_hash: np.ndarray) -> np.ndarray:
-        return self._fan_out("contains", digests, host_hash)
 
     def snapshot(self, directory: str, wave: int) -> list[str]:
         paths = [

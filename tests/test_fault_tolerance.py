@@ -187,7 +187,7 @@ def test_process_wave_is_order_and_retry_invariant():
             shard.check_and_add(
                 np.frombuffer(b"".join(seen_before), np.uint8).reshape(-1, 20)
             )
-            out, (n_new, _) = shard.process_wave(*tables)
+            out, (n_new, _, _) = shard.process_wave(*tables)
             assert n_new == out.num_rows
             return out
 

@@ -110,8 +110,8 @@ def test_checked_counts_distinct_digests_per_call():
         "disc_link": pa.array(np.arange(n) % 4, pa.int32()),
     }, schema=FRONTIER_SCHEMA)
     w = _SeenShardImpl(0, capacity=1024)
-    out, (n_new, _) = w.process_wave(rows, rows)
-    assert n_new == out.num_rows == 20
+    out, (n_new, n_checked, _) = w.process_wave(rows, rows)
+    assert n_new == out.num_rows == n_checked == 20
     assert out["disc_parent"].to_pylist() == (np.arange(20) // 4).tolist()
     assert (w.stats()["checked"], w.stats()["new"]) == (20, 20)
 
@@ -145,7 +145,7 @@ def test_exact_shard_is_runs_only_and_matches_set_oracle(tmp_path, monkeypatch):
                 oracle.add(row.tobytes())
                 want[i] = True
         assert np.array_equal(s.check_and_add(batch), want), wave
-        assert np.array_equal(s.contains(batch), np.ones(len(batch), bool))
+        assert np.array_equal(s.members.contains_rows(batch), np.ones(len(batch), bool))
         snaps.append(s.snapshot(str(tmp_path / f"w{wave}.pkl")))
         if wave == 2:
             s = _SeenShardImpl(0, capacity=64)
@@ -156,17 +156,34 @@ def test_exact_shard_is_runs_only_and_matches_set_oracle(tmp_path, monkeypatch):
 
 
 def test_sharded_seen_set_routing():
+    """Rows reach the shards only as ``_split_frontier`` slices through
+    ``process_wave``: every shard gets some, each row lands in the
+    shard its host hash names, and a second call finds nothing new."""
+    import ray
+
+    from cs_insights_crawler_ray.fixtures.content_store import ContentStoreConfig, seed_urls
+    from cs_insights_crawler_ray.pipelines.crawl import _seed_rows, _split_frontier
+
+    store = ContentStoreConfig(seed=3, n_hosts=64)
+    rows = _seed_rows(store, seed_urls(store, 1000), 0)
     sset = ShardedSeenSet(n_shards=4, capacity_per_shard=4096)
     try:
-        d = _digests(1000)
-        hh = np.arange(1000, dtype=np.uint64) * np.uint64(2654435761)
-        new = sset.check_and_add(d, hh)
-        assert new.all()
-        assert not sset.check_and_add(d, hh).any()
-        assert sset.contains(d, hh).all()
+        def barrier():
+            return ray.get([
+                shard.process_wave.remote(part)
+                for shard, part in zip(sset.shards, _split_frontier(rows, 4))
+            ])
+
+        first = barrier()
+        for s, (out, (n_new, n_checked, _)) in enumerate(first):
+            assert 0 < n_new == n_checked == out.num_rows      # all shards used
+            assert (out["host_hash"].to_numpy() % 4 == s).all()
+        assert sum(out.num_rows for out, _ in first) == rows.num_rows
+        for out, (n_new, n_checked, _) in barrier():
+            assert out.num_rows == n_new == 0 < n_checked
         stats = sset.stats()
-        assert sum(x["new"] for x in stats) == 1000
-        assert all(x["new"] > 0 for x in stats)            # all shards used
+        assert sum(x["new"] for x in stats) == rows.num_rows
+        assert sum(x["checked"] for x in stats) == 2 * rows.num_rows
     finally:
         sset.shutdown()
 
@@ -257,10 +274,10 @@ def test_pure_sketch_mode_uses_cuckoo_confirmation(tmp_path):
     strangers = _digests(20000, b"x")
     assert s.check_and_add(members).all()
     assert not s.check_and_add(members).any()   # no FN: both sketches hold all
-    assert s.contains(members).all()
+    assert s.members.contains_rows(members).all()
 
     bloom_fp = s.members._bloom_contains(strangers)
-    joint_fp = s.contains(strangers)
+    joint_fp = s.members.contains_rows(strangers)
     assert (joint_fp & ~bloom_fp).sum() == 0    # cuckoo only ever REMOVES FPs
     assert joint_fp.sum() <= bloom_fp.sum()
     # independence: with fp_rate=1e-3 each, joint FPs should be ~0 here
@@ -269,7 +286,7 @@ def test_pure_sketch_mode_uses_cuckoo_confirmation(tmp_path):
     p = s.snapshot(str(tmp_path / "sk.pkl"))
     s2 = _SeenShardImpl(0, capacity=16, exact=False)
     s2.restore([p])
-    assert s2.contains(members).all()
+    assert s2.members.contains_rows(members).all()
     assert not s2.check_and_add(members).any()
 
 
@@ -338,7 +355,7 @@ def test_shard_restore_empty_paths_resets_state():
     s = _SeenShardImpl(shard_id=0, capacity=1024)
     d = _digests(50)
     s.check_and_add(d)
-    assert int(s.contains(d).sum()) == 50
+    assert int(s.members.contains_rows(d).sum()) == 50
     s.restore([])
-    assert int(s.contains(d).sum()) == 0
+    assert int(s.members.contains_rows(d).sum()) == 0
     assert s.n_checked == 0 and s.n_new == 0
