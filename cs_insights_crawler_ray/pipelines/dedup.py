@@ -22,6 +22,7 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -411,41 +412,64 @@ def _pairs_from_partition(g: pd.DataFrame) -> pd.DataFrame:
 
 def _distinct_pairs(pairs: rd.Dataset) -> rd.Dataset:
     """Distinct (a, b) via a hash aggregate (vectorized, pre-combined
-    per block) — NOT per-group map_groups."""
-    from ray.data.aggregate import Count
+    per block) — NOT per-group map_groups.  Candidates that carry a
+    per-row requirement (`need`, the q68 prefix filter) keep a pair
+    only when its row count reaches it: Count and Max run in the one
+    aggregate."""
+    from ray.data.aggregate import Count, Max
+
+    counted = "need" in pairs.schema().names
+    aggs = [Count(alias_name="_n")]
+    if counted:
+        aggs.append(Max("need", alias_name="_need"))
+
+    def keep(t: pa.Table) -> pa.Table:
+        if counted:
+            t = t.filter(pc.greater_equal(t["_n"], t["_need"]))
+        return t.select(["a", "b"])
 
     return (
         pairs.groupby(["a", "b"])
-        .aggregate(Count(alias_name="_n"))
-        .map_batches(lambda t: t.drop_columns(["_n"]), batch_format="pyarrow")
+        .aggregate(*aggs)
+        .map_batches(keep, batch_format="pyarrow")
     )
 
 
-def minhash_lsh_candidates(docs: rd.Dataset, distinct: bool = True) -> rd.Dataset:
-    """documents(doc_id, text) -> candidate pairs (a < b).
+def _counted_pairs(pdf: pd.DataFrame) -> pd.DataFrame:
+    """Driver-side form of _distinct_pairs: the sorted distinct (a, b)
+    of a raw candidate frame, keeping a pair only when its row count
+    reaches its `need` (1 when the frame has no such column)."""
+    if "need" not in pdf:
+        return pdf.drop_duplicates(["a", "b"]).sort_values(["a", "b"])[["a", "b"]]
+    g = pdf.groupby(["a", "b"], sort=True)["need"].agg(["size", "max"])
+    return g.index[g["size"].to_numpy() >= g["max"].to_numpy()].to_frame(index=False)
 
-    Shuffle keys: hash(band_id, band_hash) % N_PARTS for bucket
+
+def minhash_lsh_candidates(docs: rd.Dataset) -> rd.Dataset:
+    """documents(doc_id, text) -> RAW candidate pairs (a < b): a pair
+    matching in k bands appears k times.
+
+    Shuffle key: hash(band_id, band_hash) % N_PARTS for bucket
     co-location (each map_groups call sees a whole partition and
-    detects buckets vectorized), then (a, b) for the distinct.  Only
-    sketch rows and id pairs cross the exchanges.
-
-    distinct=False skips the (a, b) hash aggregate (a pair matching in
-    k bands appears k times): callers that pull the pair set to the
-    driver anyway (the broadcast verify path) dedupe there for free —
-    the aggregate's fixed actor-startup cost (~1.3s at sf0.1) is the
-    larger term when the pair set is tiny."""
+    detects buckets vectorized).  Only sketch rows and id pairs cross
+    the exchange.  The distinct is verify_pairs_adaptive's: the
+    broadcast path dedupes on the driver for free, and only the join
+    path pays the (a, b) hash aggregate, whose fixed actor-startup
+    cost (~1.3s at sf0.1) is the larger term when the pair set is
+    tiny."""
     bands = docs.map_batches(_minhash_bands, batch_format="pandas")
-    pairs = (
+    return (
         bands.map_batches(lambda b: _add_part(b, ["band_id", "band_hash"]), batch_format="pandas")
         .groupby("part")
         .map_groups(_pairs_from_partition, batch_format="pandas")
     )
-    return _distinct_pairs(pairs) if distinct else pairs
 
 
-# above this many candidate pairs, fetch texts via hash joins; below
-# it, broadcast the candidate texts (two hash joins cost ~4-8s of
-# aggregator-actor startup — wasteful when the candidate set is tiny)
+# above this many RAW candidate rows (before the distinct and the
+# prefix filter's count: the rows the broadcast path pulls to and holds
+# on the driver), fetch texts via hash joins; below it, broadcast the
+# candidate texts (two hash joins cost ~4-8s of aggregator-actor
+# startup — wasteful when the candidate set is tiny)
 BROADCAST_PAIR_LIMIT = 200_000
 
 
@@ -458,10 +482,7 @@ def q17_minhash_dedup(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
     shuffles); large sets use two hash joins so payloads only ever
     move for candidates (the 100 TB path)."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    # raw candidates (a pair appears once per matching band): the
-    # distinct is deferred — the broadcast path dedupes on the driver
-    # for free, the join path pays the hash aggregate
-    return verify_pairs_adaptive(docs, minhash_lsh_candidates(docs, distinct=False), threshold)
+    return verify_pairs_adaptive(docs, minhash_lsh_candidates(docs), threshold)
 
 
 @ray.remote
@@ -475,36 +496,40 @@ def verify_pairs_adaptive(
     docs: rd.Dataset, cand: rd.Dataset, threshold: float
 ) -> rd.Dataset | pa.Table:
     """Exact n-gram-Jaccard verification of a candidate pair Dataset
-    (columns a, b; duplicate pairs allowed) against documents(doc_id,
-    text), keeping pairs with jaccard >= threshold.  Shared by the
-    MinHash-LSH (q17) and prefix-filter (q68) candidate generators.
+    against documents(doc_id, text), keeping pairs with jaccard >=
+    threshold.  Shared by the MinHash-LSH (q17) and prefix-filter (q68)
+    candidate generators.
 
-    Adaptive: small candidate sets collect the candidate texts (one
-    filtered pass over docs, zero shuffles), shingle each candidate
-    doc ONCE into a broadcast _gram_table and score pair chunks in
-    plain _verify_chunk tasks; large sets pay the (a, b) distinct
-    aggregate plus two hash joins so payloads only ever move for
-    candidates (the 100 TB path), each joined batch building its own
-    table (_pair_jaccards).  Both run the one _table_jaccards kernel."""
+    cand holds raw rows (a, b), one per bucket a pair met in, plus an
+    optional per-row requirement `need`: a pair enters verify only when
+    its row count reaches its need (the ℓ-prefix filter's count, see
+    _prefix_pairs_from_partition); without the column every pair does.
+    BROADCAST_PAIR_LIMIT compares the RAW row count, before that count.
+
+    Adaptive: small candidate sets count on the driver, collect the
+    candidate texts (one filtered pass over docs, zero shuffles),
+    shingle each candidate doc ONCE into a broadcast _gram_table and
+    score pair chunks in plain _verify_chunk tasks; large sets count in
+    the (a, b) hash aggregate (_distinct_pairs) and pay two hash joins
+    so payloads only ever move for candidates (the 100 TB path), each
+    joined batch building its own table (_pair_jaccards).  Both run the
+    one _table_jaccards kernel."""
     from .relational import JOIN_ARGS
 
+    schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())])
     cand = cand.materialize()
     n_pairs = cand.count()
 
     if n_pairs == 0:
-        return _typed_pairs(cand, ("a", "b", "jaccard"))
+        return schema.empty_table()
 
     if n_pairs <= BROADCAST_PAIR_LIMIT:
-        # pull the (bounded) pair set with a single Arrow->pandas
+        # pull the (bounded) row set with a single Arrow->pandas
         # conversion — row-dict iteration (take_all) measured ~800x
         # slower per row at sf0.1
-        pdf = (
-            cand.to_pandas()
-            .drop_duplicates(["a", "b"])
-            .sort_values(["a", "b"])
-            .reset_index(drop=True)
-            .astype("int64")
-        )
+        pdf = _counted_pairs(cand.to_pandas()).reset_index(drop=True).astype("int64")
+        if pdf.empty:  # every raw row fell short of its need
+            return schema.empty_table()
         ids_arr = np.unique(
             np.concatenate([pdf["a"].to_numpy(), pdf["b"].to_numpy()])
         )
@@ -537,11 +562,7 @@ def verify_pairs_adaptive(
             if len(refs) >= window:
                 ray.wait(refs, num_returns=len(refs) - window + 1)
             refs.append(_verify_chunk.remote(table_ref, a[lo:hi], b[lo:hi], threshold))
-        chunks = ray.get(refs)
-        out = pd.concat(chunks, ignore_index=True)
-        schema = pa.schema(
-            [("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())]
-        )
+        out = pd.concat(ray.get(refs), ignore_index=True)
         if out.empty:
             return schema.empty_table()
         return pa.Table.from_pandas(out, schema=schema, preserve_index=False)
@@ -673,26 +694,39 @@ def _gram_df_topk(docs: rd.Dataset, top_k: int) -> tuple[np.ndarray, np.ndarray]
     return g[order], d[order]
 
 
+# ℓ of the ℓ-prefix filter (Wang, Li and Feng, "Can we beat the prefix
+# filtering?", SIGMOD'12): each doc indexes ℓ - 1 grams beyond the
+# classic prefix, and a candidate pair must share min(ℓ, its overlap
+# lower bound) of them.  On the 5,000-doc sf0.1 corpus at t = 0.7,
+# ℓ = 2 sends 1,338 pairs to verify instead of 62,446 (ℓ = 1); ℓ = 3
+# is no faster end to end.
+_PREFIX_ELL = 2
+
+
 def _prefix_postings(
-    b: pd.DataFrame, threshold: float, heavy_grams: np.ndarray, heavy_df: np.ndarray
+    b: pd.DataFrame,
+    threshold: float,
+    heavy_grams: np.ndarray,
+    heavy_df: np.ndarray,
+    ell: int,
 ) -> pd.DataFrame:
     """(doc_id, text) batch -> prefix postings (gram, doc_id, size, pos).
 
-    Per doc with |G| distinct grams, emits the |G| - floor(t*|G|) + 1
-    first grams under the global order (DF-ascending for broadcast
-    heavy grams, gram-hash ascending otherwise).  floor (not the exact
-    ceil) keeps the prefix a token longer under float t — over-emission
-    is safe, a short prefix is not.  One lexsort of the batch's
-    _gram_table keys by (doc, DF, gram) ranks every doc's grams at once;
-    a gram's rank is its offset from its doc's start, emitted as pos
-    for the positional filter."""
+    Per doc with |G| distinct grams, emits the |G| - floor(t*|G|) + ell
+    first grams (at most |G|) under the global order (DF-ascending for
+    broadcast heavy grams, gram-hash ascending otherwise).  floor (not
+    the exact ceil) keeps the prefix a token longer under float t —
+    over-emission is safe, a short prefix is not.  One lexsort of the
+    batch's _gram_table keys by (doc, DF, gram) ranks every doc's grams
+    at once; a gram's rank is its offset from its doc's start, emitted
+    as pos for the positional filter."""
     _, sizes, starts, keys = _gram_table(np.arange(len(b)), b["text"].tolist())
     doc = (keys >> np.uint64(32)).astype(np.int64)
     g = keys & _LO32
     dfc, hit = _sorted_lookup(heavy_grams, heavy_df, g)
     order = np.lexsort((g, np.where(hit, dfc, 0), doc))
     rank = np.arange(len(order)) - starts[doc[order]]
-    p = np.minimum(sizes, sizes - (threshold * sizes).astype(np.int64) + 1)
+    p = np.minimum(sizes, sizes - (threshold * sizes).astype(np.int64) + ell)
     kept = rank < p[doc[order]]
     sel = order[kept]
     return pd.DataFrame(
@@ -705,59 +739,72 @@ def _prefix_postings(
     )
 
 
-def _prefix_pairs_from_partition(g: pd.DataFrame, t_num: int) -> pd.DataFrame:
-    """Candidate pairs of a co-located posting partition: docs sharing
-    a prefix gram (_bucket_pairs over the (gram, doc_id) sort), pruned
-    by PPJoin's positional filter (Xiao et al. WWW'08).  No star cap —
-    q68's contract is the EXACT pair set, and DF-ascending ordering
-    keeps buckets small (a bucket only forms on a gram inside both
-    docs' rare-end prefixes).
+def _prefix_pairs_from_partition(g: pd.DataFrame, t_num: int, ell: int) -> pd.DataFrame:
+    """Candidate rows (a, b, need) of a co-located posting partition:
+    one per prefix gram a pair shares (_bucket_pairs over the (gram,
+    doc_id) sort), pruned by PPJoin's positional filter (Xiao et al.
+    WWW'08).  No star cap — q68's contract is the EXACT pair set, and
+    DF-ascending ordering keeps buckets small (a bucket only forms on a
+    gram inside both docs' rare-end prefixes).
 
-    Positional filter: at a shared gram of ranks pos_x and pos_y, the
-    overlap is at most ub = min(|x| - pos_x, |y| - pos_y) plus the
-    overlap before it, and jaccard >= t needs overlap >= t/(1+t) *
-    (|x| + |y|).  ub is an upper bound only at the pair's FIRST shared
-    gram, where the overlap before is 0 — but that gram lies inside
-    both prefixes (the prefix-filter guarantee), so it is emitted and
-    kept there; a later shared gram may prune its duplicate row, which
-    the downstream distinct absorbs.  Compared in integer millionths
-    with one count of slack (t_num - 1), which covers verify's round6
-    half-up keep rule.  ub <= min(|x|, |y|), so the test also enforces
-    the length filter min(|x|,|y|) >= t*max(|x|,|y|), to which it
-    reduces at pos 0."""
+    ℓ-prefix guarantee (ℓ = ell): a pair with overlap alpha shares its
+    first min(ℓ, alpha) common grams inside both (|G| - alpha + ℓ)-
+    prefixes, so across all partitions a true pair has at least `need`
+    rows, need = min(ℓ, ceil(t' * max(|x|, |y|))) with t' = (t_num -
+    1) / 1e6: jaccard >= t' implies alpha >= t' * max(|x|, |y|).
+    verify_pairs_adaptive keeps only pairs whose row count reaches it.
+
+    Positional filter: at a pair's k-th shared gram, of ranks pos_x and
+    pos_y, the overlap is at most (k - 1) + min(|x| - pos_x, |y| -
+    pos_y), and jaccard >= t needs overlap >= t/(1+t) * (|x| + |y|).
+    For k <= ℓ that is at most ub = min(|x| - pos_x, |y| - pos_y) +
+    ℓ - 1, so each of a true pair's first `need` shared grams keeps
+    its row; a later one may be pruned, which the count absorbs.
+    Compared in integer millionths with one count of slack (t_num - 1),
+    which covers verify's round6 half-up keep rule.  At ℓ = 1, ub <=
+    min(|x|, |y|), so the test also enforces the length filter
+    min(|x|,|y|) >= t*max(|x|,|y|), to which it reduces at pos 0."""
     g = g.sort_values(["gram", "doc_id"], kind="mergesort")
     ids = g["doc_id"].to_numpy(np.int64)
     size = g["size"].to_numpy(np.int64)
     rest = size - g["pos"].to_numpy(np.int64)
     slack = t_num - 1
-    out_a, out_b = [ids[:0]], [ids[:0]]
+    out_a, out_b, out_n = [ids[:0]], [ids[:0]], [ids[:0]]
     for ii, jj in _bucket_pairs(g["gram"].to_numpy()):
-        ub = np.minimum(rest[ii], rest[jj])
+        ub = np.minimum(rest[ii], rest[jj]) + (ell - 1)
         keep = ub * (1_000_000 + slack) >= slack * (size[ii] + size[jj])
-        out_a.append(ids[ii[keep]])
-        out_b.append(ids[jj[keep]])
-    return pd.DataFrame({"a": np.concatenate(out_a), "b": np.concatenate(out_b)})
+        ii, jj = ii[keep], jj[keep]
+        out_a.append(ids[ii])
+        out_b.append(ids[jj])
+        # ceil(t' * max(|x|, |y|)) in integers, clipped to [1, ell]
+        lo = -((-slack * np.maximum(size[ii], size[jj])) // 1_000_000)
+        out_n.append(np.clip(lo, 1, ell))
+    return pd.DataFrame(
+        {"a": np.concatenate(out_a), "b": np.concatenate(out_b), "need": np.concatenate(out_n)}
+    )
 
 
 def prefix_filter_candidates(
     docs: rd.Dataset, threshold: float, df_top_k: int = _DF_TOP_K
 ) -> rd.Dataset:
-    """documents(doc_id, text) -> EXACT candidate pairs (a < b): a
-    superset of every pair with n-gram jaccard >= threshold, with no
-    randomness (prefix-filter guarantee, see q68)."""
+    """documents(doc_id, text) -> EXACT raw candidate rows (a < b,
+    need): counted by verify_pairs_adaptive, a superset of every pair
+    with n-gram jaccard >= threshold, with no randomness (ℓ-prefix
+    guarantee, see q68)."""
     heavy_ref = ray.put(_gram_df_topk(docs, df_top_k))
     t_num = int(round(threshold * 1e6))
 
     def postings(b: pd.DataFrame) -> pd.DataFrame:
         hg, hdf = bget(heavy_ref)
-        return _prefix_postings(b, threshold, hg, hdf)
+        return _prefix_postings(b, threshold, hg, hdf, _PREFIX_ELL)
 
     return (
         docs.map_batches(postings, batch_format="pandas")
         .map_batches(lambda b: _add_part(b, ["gram"]), batch_format="pandas")
         .groupby("part")
         .map_groups(
-            lambda g: _prefix_pairs_from_partition(g, t_num), batch_format="pandas"
+            lambda g: _prefix_pairs_from_partition(g, t_num, _PREFIX_ELL),
+            batch_format="pandas",
         )
     )
 
@@ -770,20 +817,24 @@ def q68_ngram_jaccard_join(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
     >= threshold), but EVERY qualifying pair is found by construction,
     no banding probability.
 
-    Prefix-filter guarantee: under any total order common to all
-    docs, two gram sets with jaccard >= t overlap within their
-    (|G| - ceil(t|G|) + 1)-prefixes, so indexing only those prefix
-    grams loses nothing.  Ordering is DF-ascending via a broadcast
-    top-k heavy-gram table (rare grams first -> tiny collision
-    buckets); ordering affects selectivity only, never correctness.
+    ℓ-prefix guarantee (Wang, Li and Feng, SIGMOD'12): under any total
+    order common to all docs, two gram sets with jaccard >= t share at
+    least min(ℓ, overlap) grams within their (|G| - ceil(t|G|) + ℓ)-
+    prefixes, so indexing only those prefix grams and verifying only
+    the pairs that share enough of them (the count filter in
+    verify_pairs_adaptive) loses nothing.  ℓ = 1 is the classic prefix
+    filter; ℓ = _PREFIX_ELL prunes ~98% of its pairs before verify.
+    Ordering is DF-ascending via a broadcast top-k heavy-gram table
+    (rare grams first -> tiny collision buckets); ordering affects
+    selectivity only, never correctness.
 
     Scale shape: one zero-shuffle DF pass (truncated per-block
     partials, bounded driver merge, O(k) broadcast), one postings
-    map_batches (each doc emits ~(1-t)|G|+1 grams with their ranks),
+    map_batches (each doc emits ~(1-t)|G|+ℓ grams with their ranks),
     one coarse 32-way bucket shuffle whose partitions each emit all
     their in-bucket pairs in one numpy pass, pruned by PPJoin's
-    positional filter (which implies the length filter), then the
-    shared adaptive broadcast/join verify.  Partitioning assumption:
+    positional filter, then the shared adaptive broadcast/join verify,
+    which counts each pair's rows first.  Partitioning assumption:
     collision-bucket width stays << corpus because common grams sit at
     the order's tail — corpora whose rare-gram tail is still
     ultra-dense need a larger _DF_TOP_K.  Reference analog: extends the reference's exact
@@ -1333,8 +1384,6 @@ def q69_leakage_safe_split(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
         # Arrow batch: unmatched group_id stays a NULL int64 — a
         # pandas batch would lift the column to float64 and corrupt
         # 2^53+ representatives
-        import pyarrow.compute as pc
-
         d = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
         g = t["group_id"].combine_chunks()
         valid = pc.is_valid(g).to_numpy(zero_copy_only=False)
@@ -1409,8 +1458,6 @@ def q70_dedup_corpus(sf_dir: str, threshold: float = 0.7) -> rd.Dataset:
     )
 
     def survivors(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         g = t["group_id"].combine_chunks()
         keep = pc.or_kleene(
             pc.is_null(g), pc.equal(g, t["doc_id"].combine_chunks())

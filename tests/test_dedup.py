@@ -5,6 +5,7 @@ none, by construction of its random generators)."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -122,8 +123,8 @@ def test_prefix_candidates_superset_under_skew(tmp_path):
     ds = rd.read_parquet(f"{d}/documents.parquet", columns=["doc_id", "text"])
     for top_k in (4096, 0):  # DF ordering on / off
         cand = dedup.prefix_filter_candidates(ds, 0.7, df_top_k=top_k).to_pandas()
-        cand_pairs = set(zip(cand["a"], cand["b"]))
-        assert truth <= cand_pairs
+        counted = dedup._counted_pairs(cand)
+        assert truth <= set(zip(counted["a"], counted["b"]))
 
     got = dedup.q68_ngram_jaccard_join(str(d), threshold=0.7)
     assert set(zip(got.to_pandas()["a"], got.to_pandas()["b"])) == truth
@@ -131,9 +132,9 @@ def test_prefix_candidates_superset_under_skew(tmp_path):
 
 def test_prefix_pair_slab_blocking_exact():
     """A bucket wider than one emission chunk (_PAIR_SLAB**2 pairs) must
-    emit the identical pair set the whole-bucket triu form would (pure
-    kernel, no Ray).  Every posting is at pos 0, where the positional
-    bound reduces to the length filter."""
+    emit the identical (a, b, need) rows the whole-bucket triu form
+    would (pure kernel, no Ray), for ℓ = 1, 2, 3.  Every posting is at
+    pos 0, where the positional bound is min(|x|, |y|) + ℓ - 1."""
     rng = np.random.default_rng(0)
     m = int(dedup._PAIR_SLAB * 2.5)
     g = pd.DataFrame(
@@ -148,19 +149,23 @@ def test_prefix_pair_slab_blocking_exact():
         }
     )
     t_num = 700_000
-    got = set(zip(*(dedup._prefix_pairs_from_partition(g, t_num)[c] for c in "ab")))
-    want = set()
-    for gram in (0, 1):
-        b = g[g["gram"] == gram]
-        ids = b["doc_id"].to_numpy()
-        szs = b["size"].to_numpy()
-        ii, jj = np.triu_indices(len(ids), k=1)
-        lo, hi = np.minimum(szs[ii], szs[jj]), np.maximum(szs[ii], szs[jj])
-        keep = lo * 1_000_000 >= (t_num - 1) * hi
-        want |= set(
-            zip(np.minimum(ids[ii], ids[jj])[keep], np.maximum(ids[ii], ids[jj])[keep])
-        )
-    assert got == want and len(want) > 0
+    slack = t_num - 1
+    for ell in (1, 2, 3):
+        got = dedup._prefix_pairs_from_partition(g, t_num, ell)
+        got = Counter(zip(got["a"], got["b"], got["need"]))
+        want = Counter()
+        for gram in (0, 1):
+            b = g[g["gram"] == gram]
+            ids = b["doc_id"].to_numpy()
+            szs = b["size"].to_numpy()
+            ii, jj = np.triu_indices(len(ids), k=1)
+            lo, hi = np.minimum(szs[ii], szs[jj]), np.maximum(szs[ii], szs[jj])
+            keep = (lo + ell - 1) * (1_000_000 + slack) >= slack * (lo + hi)
+            need = np.clip(-(-slack * hi[keep] // 1_000_000), 1, ell)
+            want.update(
+                zip(np.minimum(ids[ii], ids[jj])[keep], np.maximum(ids[ii], ids[jj])[keep], need)
+            )
+        assert got == want and len(want) > 0
 
 
 def test_leakage_safe_split_group_consistent(neardup_dir):
@@ -511,6 +516,7 @@ _PIN_CASES = {
 }
 _PIN_CALLERS = ["q17", "prefix", "hamming_star", "hamming_exact_str_ids", "q64"]
 _PIN_T_NUM, _PIN_MAX_HAMMING, _PIN_MAX_DF = 700_000, 3, 20
+_PIN_ELLS = (1, 2, 3)  # the prefix caller runs once per ℓ
 
 
 def _pin_size(d):
@@ -537,9 +543,13 @@ def _pin_reference(caller, rows):
         elif caller == "prefix":
             slack = _PIN_T_NUM - 1
             for (a, _), (b, _) in itertools.combinations(sorted(members), 2):
-                ub = min(_pin_size(a) - _pin_pos(a), _pin_size(b) - _pin_pos(b))
-                if ub * (1_000_000 + slack) >= slack * (_pin_size(a) + _pin_size(b)):
-                    out[(a, b)] += 1
+                rest = min(_pin_size(a) - _pin_pos(a), _pin_size(b) - _pin_pos(b))
+                hi = max(_pin_size(a), _pin_size(b))
+                for ell in _PIN_ELLS:
+                    ub = rest + ell - 1
+                    if ub * (1_000_000 + slack) >= slack * (_pin_size(a) + _pin_size(b)):
+                        need = min(ell, max(1, -(-slack * hi // 1_000_000)))
+                        out[(ell, a, b, need)] += 1
         elif caller == "q64":
             ids = sorted(d for d, _ in members)
             if len(ids) <= _PIN_MAX_DF:
@@ -571,12 +581,16 @@ def _pin_kernel(caller, rows):
         )
         return Counter(zip(got["a"], got["b"]))
     if caller == "prefix":
-        got = dedup._prefix_pairs_from_partition(
-            pd.DataFrame({"gram": key, "doc_id": doc, "size": _pin_size(doc),
-                          "pos": _pin_pos(doc)}),
-            _PIN_T_NUM,
-        )
-        return Counter(zip(got["a"], got["b"]))
+        out = Counter()
+        for ell in _PIN_ELLS:
+            got = dedup._prefix_pairs_from_partition(
+                pd.DataFrame({"gram": key, "doc_id": doc, "size": _pin_size(doc),
+                              "pos": _pin_pos(doc)}),
+                _PIN_T_NUM,
+                ell,
+            )
+            out.update((ell, a, b, n) for a, b, n in zip(got["a"], got["b"], got["need"]))
+        return out
     if caller == "q64":
         got = dedup._span_pairs_from_partition(
             pd.DataFrame({"g": pd.Series([f"w{k}" for k in key], dtype="object"),
@@ -965,14 +979,65 @@ def _sorted_pairs(t: pa.Table) -> pd.DataFrame:
     return t.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
 
 
-def test_q68_join_path_matches_broadcast(neardup_dir, monkeypatch):
+def test_q68_join_path_matches_broadcast(neardup_dir, monkeypatch, tmp_path):
     """The hash-join verify path (above BROADCAST_PAIR_LIMIT) returns
-    exactly the broadcast path's pairs and jaccard bits."""
+    exactly the broadcast path's pairs and jaccard bits, and verifies
+    exactly as many pairs: both keep a pair only when its prefix rows
+    reach its need, which drops most of the distinct raw pairs."""
+    real_chunk, real_pairs = dedup._verify_chunk, dedup._pair_jaccards
+    verified = []
+
+    class Counting:  # the broadcast path submits its chunks from here
+        @staticmethod
+        def remote(table, a, b, threshold):
+            verified.append(len(a))
+            return real_chunk.remote(table, a, b, threshold)
+
+    log = tmp_path / "join_pairs.txt"
+
+    def counting(a_ids, b_ids, text_of):  # runs in the join path's tasks
+        with open(log, "a") as f:
+            f.write(f"{len(a_ids)}\n")
+        return real_pairs(a_ids, b_ids, text_of)
+
+    monkeypatch.setattr(dedup, "_verify_chunk", Counting)
+    monkeypatch.setattr(dedup, "_pair_jaccards", counting)
     broadcast = _sorted_pairs(dedup.q68_ngram_jaccard_join(neardup_dir, 0.7))
+    assert not log.exists()
     monkeypatch.setattr(dedup, "BROADCAST_PAIR_LIMIT", 0)
     joined = _sorted_pairs(dedup.q68_ngram_jaccard_join(neardup_dir, 0.7))
     assert len(broadcast) > 0
     pd.testing.assert_frame_equal(joined, broadcast)
+    n_joined = sum(int(n) for n in log.read_text().split())
+    assert sum(verified) == n_joined
+    docs = rd.read_parquet(f"{neardup_dir}/documents.parquet", columns=["doc_id", "text"])
+    raw = dedup.prefix_filter_candidates(docs, 0.7).to_pandas()
+    assert len(broadcast) <= n_joined < len(raw.drop_duplicates(["a", "b"]))
+
+
+def test_verify_skips_corpus_when_no_pair_meets_its_need(monkeypatch):
+    """Raw rows that all fall short of their need leave nothing to
+    verify: the broadcast path returns the typed empty (a, b, jaccard)
+    table before it reads a doc or submits a _verify_chunk task."""
+    docs = rd.from_pandas(pd.DataFrame({"doc_id": np.arange(4), "text": ["alpha bravo"] * 4}))
+    # (0, 1) has one row of need 2, (2, 3) two rows of need 3
+    cand = rd.from_pandas(
+        pd.DataFrame({"a": [0, 2, 2], "b": [1, 3, 3], "need": [2, 3, 3]}).astype("int64")
+    )
+
+    def fail(*_):
+        raise AssertionError("verify work on an empty pair set")
+
+    class NoSubmit:
+        remote = staticmethod(fail)
+
+    monkeypatch.setattr(dedup, "_verify_chunk", NoSubmit)
+    monkeypatch.setattr(dedup, "_gram_table", fail)
+    got = dedup.verify_pairs_adaptive(docs, cand, 0.7)
+    assert got.num_rows == 0
+    assert got.schema == pa.schema(
+        [("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())]
+    )
 
 
 def test_broadcast_verify_shingles_each_candidate_once(ray_session, monkeypatch):
@@ -1048,8 +1113,9 @@ def test_broadcast_verify_keeps_chunks_in_flight_within_cluster_cpus(ray_session
 def test_prefix_postings_and_df_match_per_doc_reference():
     """The batch-vectorized _prefix_postings and _df_partials equal a
     per-doc scalar reference row for row: each doc's distinct grams
-    ordered by (heavy-gram DF, gram), its first |G| - floor(t|G|) + 1
-    kept with their ranks; with and without the heavy-gram table."""
+    ordered by (heavy-gram DF, gram), its first |G| - floor(t|G|) + ℓ
+    (at most |G|) kept with their ranks, for ℓ = 1, 2, 3; with and
+    without the heavy-gram table."""
     rng = np.random.Generator(np.random.PCG64(3))
     texts = [" ".join(rng.choice(WORDS[:6], size=int(k))) for k in rng.integers(3, 40, 40)]
     texts += ["", "alpha", "alpha bravo", "alpha bravo charlie alpha bravo charlie"]
@@ -1064,27 +1130,32 @@ def test_prefix_postings_and_df_match_per_doc_reference():
     empty = (np.zeros(0, np.uint64), np.zeros(0, np.int64))
     for hg, hdf in (heavy, empty):
         df_of = dict(zip(hg.tolist(), hdf.tolist()))
-        for t in (0.5, 0.7, 0.9):
+        for t, ell in itertools.product((0.5, 0.7, 0.9), (1, 2, 3)):
             want = []
             for did, gs in zip(b["doc_id"], gsets):
-                p = min(len(gs), len(gs) - int(t * len(gs)) + 1)
+                p = min(len(gs), len(gs) - int(t * len(gs)) + ell)
                 pref = sorted(gs, key=lambda g: (df_of.get(g, 0), g))[:p]
                 want += [(g, did, len(gs), r) for r, g in enumerate(pref)]
-            got = dedup._prefix_postings(b, t, hg, hdf)
+            got = dedup._prefix_postings(b, t, hg, hdf, ell)
             assert list(got.itertuples(index=False, name=None)) == want
 
 
 def test_prefix_positional_filter_boundaries():
     """_prefix_postings + _prefix_pairs_from_partition (no Ray) against
     brute-force round6 jaccard and a per-gram scalar reference of the
-    positional filter, on boundary cases.  Docs are runs of a token
-    universe, so gram k is the trigram starting at token k, and the
-    heavy-gram table ranks gram k at DF k + 1: prefixes and positions
-    are known by construction."""
+    ℓ-prefix and its positional filter, for ℓ = 1, 2, 3, on boundary
+    cases.  Docs are runs of a token universe, so gram k is the trigram
+    starting at token k, and the heavy-gram table ranks gram k at DF
+    k + 1: prefixes and positions are known by construction.  Every
+    true pair must survive the count (row count >= need)."""
     from fractions import Fraction
 
     def run(s, e):  # the doc whose grams are k in [s, e)
         return " ".join(f"u{k}" for k in range(s, e + 2))
+
+    def counted(rows):
+        c = dedup._counted_pairs(rows)
+        return set(zip(c["a"], c["b"]))
 
     universe = [dedup._shingle_hashes(run(k, k + 1))[0] for k in range(500)]
     hg = np.array(universe, dtype=np.uint64)
@@ -1097,42 +1168,53 @@ def test_prefix_positional_filter_boundaries():
         40: run(300, 310), 41: run(301, 311),  # equal sizes, 9 of 11
         50: run(400, 410), 51: run(403, 413),  # equal sizes, 7 of 13: not a pair
         60: "alpha", 61: "alpha", 62: "bravo",  # one-token docs
+        63: "alpha bravo", 64: "alpha bravo",  # two-token docs: one short gram
         70: "", 71: "",  # empty docs
     }
     b = pd.DataFrame({"doc_id": list(texts), "text": list(texts.values())})
     df_of = dict(zip(hg.tolist(), hdf.tolist()))
-    for t in (0.5, 0.7, 0.9):
+    for t, ell in itertools.product((0.5, 0.7, 0.9), (1, 2, 3)):
         t_num = int(round(t * 1e6))
-        post = dedup._prefix_postings(b, t, hg, hdf).sample(frac=1, random_state=1)
-        got = dedup._prefix_pairs_from_partition(post, t_num)
-        cand = sorted(zip(got["a"], got["b"]))
+        post = dedup._prefix_postings(b, t, hg, hdf, ell).sample(frac=1, random_state=1)
+        got = dedup._prefix_pairs_from_partition(post, t_num, ell)
+        cand = sorted(zip(got["a"], got["b"], got["need"]))
         rank, size = {}, {}
         for did, text in texts.items():
             gs = sorted(set(dedup._shingle_hashes(text).tolist()), key=lambda g: (df_of.get(g, 0), g))
-            p = min(len(gs), len(gs) - int(t * len(gs)) + 1)
+            p = min(len(gs), len(gs) - int(t * len(gs)) + ell)
             rank[did], size[did] = {g: r for r, g in enumerate(gs[:p])}, len(gs)
         # one row per shared prefix gram whose overlap bound can still
-        # reach t' = (t_num - 1) / 1e6: ub >= t' / (1 + t') * (|x| + |y|)
+        # reach t' = (t_num - 1) / 1e6: ub + ℓ - 1 >= t' / (1 + t') *
+        # (|x| + |y|); need = min(ℓ, ceil(t' * max(|x|, |y|))), >= 1
         slack = Fraction(t_num - 1, 10**6)
         want, truth = [], set()
         for x, y in itertools.combinations(sorted(texts), 2):
+            need = min(ell, max(1, math.ceil(slack * max(size[x], size[y]))))
             for g in rank[x].keys() & rank[y].keys():
-                ub = min(size[x] - rank[x][g], size[y] - rank[y][g])
+                ub = min(size[x] - rank[x][g], size[y] - rank[y][g]) + ell - 1
                 if ub >= slack / (1 + slack) * (size[x] + size[y]):
-                    want.append((x, y))
+                    want.append((x, y, need))
             if dedup._round6_half_up(dedup.ngram_jaccard(texts[x], texts[y])) >= t:
                 truth.add((x, y))
         assert cand == sorted(want)
-        assert truth <= set(cand)
+        kept = counted(got)
+        assert truth <= kept
         if t == 0.7:
-            assert truth == {(10, 11), (20, 21), (30, 31), (40, 41), (60, 61), (70, 71)}
-            # first shared grams pass, later ones fail: grams 0,1 of 0..3
-            # and gram 203 of 203..206
-            assert cand.count((10, 11)) == 2 and cand.count((30, 31)) == 1
+            assert truth == {
+                (10, 11), (20, 21), (30, 31), (40, 41), (60, 61), (63, 64), (70, 71)
+            }
+            # shared grams 0..ℓ of 10/11 pass, later ones fail; of
+            # 30/31's shared grams 203.., the first ℓ pass
+            pairs = [(x, y) for x, y, _ in cand]
+            assert pairs.count((10, 11)) == ell + 1 and pairs.count((30, 31)) == ell
             # 50/51 share prefix gram 403 and pass the length filter
-            # (equal sizes), but its bound 7 < 0.7/1.7 * 20
+            # (equal sizes), but its bound 7 + ℓ - 1 < 0.7/1.7 * 20
+            # until ℓ = 3, and its one row never meets need = 3
             assert universe[403] in rank[50].keys() & rank[51].keys()
-            assert size[50] == size[51] and (50, 51) not in cand
+            assert size[50] == size[51] and (50, 51) not in kept
+            assert ((50, 51) in pairs) == (ell == 3)
+            # one-gram docs share one gram: need is 1, not ℓ
+            assert {(60, 61, 1), (63, 64, 1), (70, 71, 1)} <= set(cand)
     # only the one-millionth slack keeps this pair: y is x's tail, so
     # the bound at their first shared gram is |y| = 140,002, short of
     # 0.7 * |x| = 140,002.1, yet round6(|y| / |x|) = 0.7
@@ -1143,5 +1225,6 @@ def test_prefix_positional_filter_boundaries():
     assert dedup._round6_half_up(dedup.ngram_jaccard(x, y)) == 0.7
     b = pd.DataFrame({"doc_id": [1, 2], "text": [x, y]})
     empty = (np.zeros(0, np.uint64), np.zeros(0, np.int64))
-    got = dedup._prefix_pairs_from_partition(dedup._prefix_postings(b, 0.7, *empty), 700_000)
-    assert (1, 2) in set(zip(got["a"], got["b"]))
+    for ell in (1, 2, 3):
+        post = dedup._prefix_postings(b, 0.7, *empty, ell)
+        assert (1, 2) in counted(dedup._prefix_pairs_from_partition(post, 700_000, ell))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 # --------------------------------------------------------------- q58
@@ -231,21 +231,36 @@ def test_bloom_add_remove_never_wraps(n, dup, seed):
     ),
     t=st.floats(0.3, 0.95),
     heavy_k=st.integers(0, 12),
+    dups=st.lists(st.integers(0, 21), max_size=4),
 )
-def test_prefix_filter_candidate_guarantee(docs, t, heavy_k):
-    """The prefix-filter theorem as implemented (q68 kernels, no Ray):
-    for ANY corpus, threshold, and heavy-gram ordering table, every
-    pair whose round6 n-gram jaccard >= t must appear in the candidate
-    pairs produced by _prefix_postings + _prefix_pairs_from_partition.
+# |G| = 1 (empty, one-token, two-token and one-trigram docs), 2 and 3,
+# each duplicated, plus near pairs of sizes 2/3 and 3/3
+@example(
+    docs=[[], [], [0], [0], [0, 1], [0, 1], [0, 1, 2], [0, 1, 2], [0, 1, 2, 3],
+          [0, 1, 2, 3], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5]],
+    t=0.5, heavy_k=0, dups=[],
+)
+@example(
+    docs=[[], [0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]],
+    t=0.7, heavy_k=3, dups=[0, 1, 2, 3, 4, 5],
+)
+def test_prefix_filter_candidate_guarantee(docs, t, heavy_k, dups):
+    """The ℓ-prefix theorem as implemented (q68 kernels, no Ray): for
+    ANY corpus, threshold, heavy-gram ordering table and ℓ in 1..3,
+    every pair whose round6 n-gram jaccard >= t must survive the COUNT
+    of the rows produced by _prefix_postings +
+    _prefix_pairs_from_partition (row count >= the pair's need).
     Probes the floor-prefix / (t_num-1)-length-filter slack against
-    float thresholds, tiny vocab (dense collisions), short and empty
-    docs, and arbitrary (even adversarial) DF orderings — ordering
-    must never affect the superset property, only selectivity."""
+    float thresholds, tiny vocab (dense collisions), short, empty and
+    duplicated docs (whose overlap is below ℓ), and arbitrary (even
+    adversarial) DF orderings — ordering must never affect the
+    superset property, only selectivity."""
     import itertools
 
     from cs_insights_crawler_ray.pipelines import dedup
 
     texts = [" ".join(f"w{x}" for x in d) for d in docs]
+    texts += [texts[i % len(texts)] for i in dups]
     b = pd.DataFrame(
         {"doc_id": np.arange(len(texts), dtype=np.int64), "text": texts}
     )
@@ -253,14 +268,21 @@ def test_prefix_filter_candidate_guarantee(docs, t, heavy_k):
     uniq = np.unique(grams)
     hg = uniq[: min(heavy_k, uniq.size)].astype(np.uint64)
     hdf = (np.arange(hg.size, dtype=np.int64) % 3) * 7 + 1  # ties + skew
-    post = dedup._prefix_postings(b, t, hg, hdf)
     t_num = int(round(t * 1e6))
-    pairs = dedup._prefix_pairs_from_partition(post, t_num)
-    cand = set(zip(pairs["a"], pairs["b"]))
-    for (i, ta), (j, tb) in itertools.combinations(enumerate(texts), 2):
-        if dedup._round6_half_up(dedup.ngram_jaccard(ta, tb)) >= t:
-            assert (i, j) in cand, (i, j, ta, tb)
-    assert all(a < b for a, b in cand)
+    truth = {
+        (i, j)
+        for (i, ta), (j, tb) in itertools.combinations(enumerate(texts), 2)
+        if dedup._round6_half_up(dedup.ngram_jaccard(ta, tb)) >= t
+    }
+    for ell in (1, 2, 3):
+        post = dedup._prefix_postings(b, t, hg, hdf, ell)
+        rows = dedup._prefix_pairs_from_partition(post, t_num, ell)
+        assert ((rows["need"] >= 1) & (rows["need"] <= ell)).all()
+        assert (rows["a"] < rows["b"]).all()
+        counted = dedup._counted_pairs(rows)
+        cand = set(zip(counted["a"], counted["b"]))
+        missing = truth - cand
+        assert not missing, (ell, [(texts[i], texts[j]) for i, j in missing])
 
 
 @settings(max_examples=60, deadline=None)
