@@ -397,9 +397,10 @@ def _bucket_pairs(keys: np.ndarray, star: int | None = None, widest: int | None 
 
 
 def _pairs_from_partition(g: pd.DataFrame) -> pd.DataFrame:
-    """MinHash band buckets -> (a < b) pairs; a doc repeated in one
-    bucket counts once, buckets wider than _STAR_BUCKET_SIZE emit star
-    pairs."""
+    """MinHash band buckets -> (a < b, need = 1) rows; a doc repeated
+    in one bucket counts once, buckets wider than _STAR_BUCKET_SIZE
+    emit star pairs.  One shared band is enough: every pair's need is
+    1."""
     cols = ["band_id", "band_hash", "doc_id"]
     g = g.drop_duplicates(cols).sort_values(cols, kind="mergesort")
     ids = g["doc_id"].to_numpy(np.int64)
@@ -407,30 +408,23 @@ def _pairs_from_partition(g: pd.DataFrame) -> pd.DataFrame:
     for ii, jj in _bucket_pairs(g[cols[:2]].to_numpy(), star=_STAR_BUCKET_SIZE):
         out_a.append(ids[ii])
         out_b.append(ids[jj])
-    return pd.DataFrame({"a": np.concatenate(out_a), "b": np.concatenate(out_b)})
+    a = np.concatenate(out_a)
+    return pd.DataFrame({"a": a, "b": np.concatenate(out_b), "need": np.ones_like(a)})
 
 
 def _distinct_pairs(pairs: rd.Dataset) -> rd.Dataset:
     """Distinct (a, b) via a hash aggregate (vectorized, pre-combined
-    per block) — NOT per-group map_groups.  Candidates that carry a
-    per-row requirement (`need`, the q68 prefix filter) keep a pair
-    only when its row count reaches it: Count and Max run in the one
+    per block) — NOT per-group map_groups — keeping a pair only when
+    its row count reaches its `need`: Count and Max run in the one
     aggregate."""
     from ray.data.aggregate import Count, Max
 
-    counted = "need" in pairs.schema().names
-    aggs = [Count(alias_name="_n")]
-    if counted:
-        aggs.append(Max("need", alias_name="_need"))
-
     def keep(t: pa.Table) -> pa.Table:
-        if counted:
-            t = t.filter(pc.greater_equal(t["_n"], t["_need"]))
-        return t.select(["a", "b"])
+        return t.filter(pc.greater_equal(t["_n"], t["_need"])).select(["a", "b"])
 
     return (
         pairs.groupby(["a", "b"])
-        .aggregate(*aggs)
+        .aggregate(Count(alias_name="_n"), Max("need", alias_name="_need"))
         .map_batches(keep, batch_format="pyarrow")
     )
 
@@ -438,16 +432,14 @@ def _distinct_pairs(pairs: rd.Dataset) -> rd.Dataset:
 def _counted_pairs(pdf: pd.DataFrame) -> pd.DataFrame:
     """Driver-side form of _distinct_pairs: the sorted distinct (a, b)
     of a raw candidate frame, keeping a pair only when its row count
-    reaches its `need` (1 when the frame has no such column)."""
-    if "need" not in pdf:
-        return pdf.drop_duplicates(["a", "b"]).sort_values(["a", "b"])[["a", "b"]]
+    reaches its `need`."""
     g = pdf.groupby(["a", "b"], sort=True)["need"].agg(["size", "max"])
     return g.index[g["size"].to_numpy() >= g["max"].to_numpy()].to_frame(index=False)
 
 
 def minhash_lsh_candidates(docs: rd.Dataset) -> rd.Dataset:
-    """documents(doc_id, text) -> RAW candidate pairs (a < b): a pair
-    matching in k bands appears k times.
+    """documents(doc_id, text) -> RAW candidate rows (a < b, need = 1):
+    a pair matching in k bands appears k times.
 
     Shuffle key: hash(band_id, band_hash) % N_PARTS for bucket
     co-location (each map_groups call sees a whole partition and
@@ -500,11 +492,11 @@ def verify_pairs_adaptive(
     threshold.  Shared by the MinHash-LSH (q17) and prefix-filter (q68)
     candidate generators.
 
-    cand holds raw rows (a, b), one per bucket a pair met in, plus an
-    optional per-row requirement `need`: a pair enters verify only when
-    its row count reaches its need (the ℓ-prefix filter's count, see
-    _prefix_pairs_from_partition); without the column every pair does.
-    BROADCAST_PAIR_LIMIT compares the RAW row count, before that count.
+    cand holds raw rows (a, b, need), one per bucket a pair met in: a
+    pair enters verify only when its row count reaches its need (the
+    ℓ-prefix filter's count, see _prefix_pairs_from_partition; MinHash
+    rows need 1).  BROADCAST_PAIR_LIMIT compares the RAW row count,
+    before that count.
 
     Adaptive: small candidate sets count on the driver, collect the
     candidate texts (one filtered pass over docs, zero shuffles),

@@ -1015,6 +1015,16 @@ def test_q68_join_path_matches_broadcast(neardup_dir, monkeypatch, tmp_path):
     assert len(broadcast) <= n_joined < len(raw.drop_duplicates(["a", "b"]))
 
 
+def test_q17_join_path_matches_broadcast(neardup_dir, monkeypatch):
+    """MinHash rows need 1: the hash-join verify path's Count + Max
+    filter keeps every distinct pair, as the broadcast path does."""
+    broadcast = _sorted_pairs(dedup.q17_minhash_dedup(neardup_dir, 0.7))
+    monkeypatch.setattr(dedup, "BROADCAST_PAIR_LIMIT", 0)
+    joined = _sorted_pairs(dedup.q17_minhash_dedup(neardup_dir, 0.7))
+    assert len(broadcast) > 0
+    pd.testing.assert_frame_equal(joined, broadcast)
+
+
 def test_verify_skips_corpus_when_no_pair_meets_its_need(monkeypatch):
     """Raw rows that all fall short of their need leave nothing to
     verify: the broadcast path returns the typed empty (a, b, jaccard)
@@ -1053,7 +1063,7 @@ def test_broadcast_verify_shingles_each_candidate_once(ray_session, monkeypatch)
     ii, jj = np.triu_indices(len(texts), k=1)
     # every pair twice: raw candidates may repeat
     cand = rd.from_pandas(
-        pd.DataFrame({"a": np.tile(ii, 2), "b": np.tile(jj, 2)}).astype("int64")
+        pd.DataFrame({"a": np.tile(ii, 2), "b": np.tile(jj, 2), "need": 1}).astype("int64")
     )
     assert len(ii) // 2048 + 1 > 1  # several chunk tasks
     calls = []
@@ -1085,7 +1095,7 @@ def test_broadcast_verify_keeps_chunks_in_flight_within_cluster_cpus(ray_session
     texts = [" ".join(rng.choice(WORDS, size=12)) for _ in range(240)]
     docs = rd.from_pandas(pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts}))
     ii, jj = np.triu_indices(len(texts), k=1)
-    cand = rd.from_pandas(pd.DataFrame({"a": ii, "b": jj}).astype("int64"))
+    cand = rd.from_pandas(pd.DataFrame({"a": ii, "b": jj, "need": 1}).astype("int64"))
     cpus = int(ray.cluster_resources()["CPU"])
     assert len(ii) // 2048 + 1 > 2 * cpus  # more chunks than the window
     submitted, in_flight = [], []
